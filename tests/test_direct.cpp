@@ -2,6 +2,13 @@
 // symbolic Cholesky, Gilbert-Peierls LU, multifrontal Cholesky, supernodes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <string>
+#include <type_traits>
+
+#include "common/half.hpp"
 #include "direct/elimination_tree.hpp"
 #include "direct/gp_lu.hpp"
 #include "direct/multifrontal.hpp"
@@ -9,6 +16,7 @@
 #include "la/ops.hpp"
 #include "la/spmv.hpp"
 #include "support/matrices.hpp"
+#include "support/problems.hpp"
 #include "trisolve/substitution.hpp"
 
 namespace frosch::direct {
@@ -192,6 +200,18 @@ TEST(Multifrontal, SymbolicReusedAcrossNumericCalls) {
   EXPECT_TRUE(chol.symbolic_reusable());
 }
 
+/// The message MultifrontalCholesky::numeric throws on A ("" if none).
+std::string numeric_error(const la::CsrMatrix<double>& A) {
+  MultifrontalCholesky<double> chol;
+  chol.symbolic(A);
+  try {
+    chol.numeric(A);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(Multifrontal, ThrowsOnIndefiniteMatrix) {
   la::TripletBuilder<double> b(2, 2);
   b.add(0, 0, 1.0);
@@ -202,6 +222,23 @@ TEST(Multifrontal, ThrowsOnIndefiniteMatrix) {
   MultifrontalCholesky<double> chol;
   chol.symbolic(A);
   EXPECT_THROW(chol.numeric(A), Error);
+  // One front holds both columns; the message names the matrix column,
+  // not the pivot's position inside the front.
+  const std::string msg = numeric_error(A);
+  EXPECT_NE(msg.find("non-positive pivot at column 1"), std::string::npos)
+      << msg;
+
+  // The same block behind an independent column fails in the front {1, 2}
+  // at its second pivot: column 2.
+  la::TripletBuilder<double> b3(3, 3);
+  b3.add(0, 0, 2.0);
+  b3.add(1, 1, 1.0);
+  b3.add(1, 2, 3.0);
+  b3.add(2, 1, 3.0);
+  b3.add(2, 2, 1.0);
+  const std::string msg3 = numeric_error(b3.build());
+  EXPECT_NE(msg3.find("non-positive pivot at column 2"), std::string::npos)
+      << msg3;
 }
 
 TEST(Multifrontal, NumericProfileLaunchesEqualTreeHeight) {
@@ -218,6 +255,24 @@ TEST(Multifrontal, NumericProfileLaunchesEqualTreeHeight) {
   EXPECT_LT(chol.tree_height(), A.num_rows());  // real level parallelism
 }
 
+/// Checks the factor entrywise against a dense reference Cholesky of A, and
+/// that the cached supernode partition is that of the packed factor.
+void expect_matches_dense_cholesky(const la::CsrMatrix<double>& A,
+                                   const MultifrontalCholesky<double>& chol) {
+  const index_t n = A.num_rows();
+  auto D = test::to_dense(A);
+  la::partial_cholesky(D, n);
+  double scale = 0.0;
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = j; i < n; ++i) scale = std::max(scale, std::abs(D(i, j)));
+  const auto& f = chol.factorization();
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = j; i < n; ++i)
+      ASSERT_NEAR(f.L.at(i, j), D(i, j), 1e-13 * scale)
+          << "L(" << i << "," << j << ")";
+  EXPECT_EQ(f.sn_ptr, detect_supernodes(f.U));
+}
+
 TEST(Supernodes, DetectedOnDenseBlockFactor) {
   // A dense SPD matrix has one supernode spanning all columns.
   const index_t n = 6;
@@ -232,14 +287,115 @@ TEST(Supernodes, DetectedOnDenseBlockFactor) {
   ASSERT_EQ(sn.size(), 2u);
   EXPECT_EQ(sn[0], 0);
   EXPECT_EQ(sn[1], n);
+  expect_matches_dense_cholesky(A, chol);
 }
 
 TEST(Supernodes, TrivialOnDiagonalMatrix) {
-  auto A = la::identity<double>(5);
+  la::TripletBuilder<double> b(5, 5);
+  for (index_t i = 0; i < 5; ++i) b.add(i, i, double(i + 1));
+  auto A = b.build();
   MultifrontalCholesky<double> chol;
   chol.symbolic(A);
   chol.numeric(A);
   EXPECT_EQ(chol.factorization().sn_ptr.size(), 6u);  // every column alone
+  expect_matches_dense_cholesky(A, chol);
+}
+
+TEST(SupernodalFronts, NdElasticityBrickMatchesDenseCholesky) {
+  // Three coupled dofs per node make every ND separator a wide supernode,
+  // and separators collect the fronts of several child supernodes.
+  auto A = test::elasticity_problem(4, 1, 1, 1).A;
+  const index_t nq = A.num_rows() / 3;
+  la::TripletBuilder<char> qb(nq, nq);
+  for (index_t i = 0; i < A.num_rows(); ++i)
+    for (index_t k = A.row_begin(i); k < A.row_end(i); ++k)
+      qb.add(i / 3, A.col(k) / 3, 1);
+  IndexVector perm;
+  for (index_t q : graph::nested_dissection(graph::build_graph(qb.build())))
+    for (index_t c = 0; c < 3; ++c) perm.push_back(3 * q + c);
+  A = la::permute_symmetric(A, perm);
+  MultifrontalCholesky<double> chol;
+  chol.symbolic(A);
+  chol.numeric(A);
+  expect_matches_dense_cholesky(A, chol);
+
+  const auto& sn = chol.factorization().sn_ptr;
+  const index_t nsn = static_cast<index_t>(sn.size()) - 1;
+  IndexVector sn_of(static_cast<size_t>(A.num_rows())), nchildren(sn.size(), 0);
+  index_t widest = 0;
+  for (index_t s = 0; s < nsn; ++s) {
+    widest = std::max(widest, sn[s + 1] - sn[s]);
+    for (index_t j = sn[s]; j < sn[s + 1]; ++j) sn_of[j] = s;
+  }
+  for (index_t s = 0; s < nsn; ++s) {
+    const index_t p = chol.etree_parent()[sn[s + 1] - 1];
+    if (p != -1) ++nchildren[sn_of[p]];
+  }
+  EXPECT_GT(widest, 3);
+  EXPECT_GE(*std::max_element(nchildren.begin(), nchildren.end()), 2);
+}
+
+TEST(SupernodalFronts, NaturalTridiagonalIsAPathOfNarrowFronts) {
+  auto A = test::tridiag(20, 2.5, -1.0);
+  MultifrontalCholesky<double> chol;
+  chol.symbolic(A);
+  chol.numeric(A);
+  expect_matches_dense_cholesky(A, chol);
+  // Every column alone except the last two, which share one front.
+  EXPECT_EQ(chol.factorization().sn_ptr.size(), 20u);
+}
+
+TEST(SupernodalFronts, RefactorOnCachedSymbolicIsBitwiseFresh) {
+  auto A1 = test::elasticity_problem(3, 1, 1, 1).A;
+  auto perm = graph::nested_dissection(graph::build_graph(A1));
+  A1 = la::permute_symmetric(A1, perm);
+  auto A2 = A1;
+  const auto d = random_vector(A2.num_rows(), 5);
+  for (index_t i = 0; i < A2.num_rows(); ++i)
+    for (index_t k = A2.row_begin(i); k < A2.row_end(i); ++k)
+      A2.values()[k] *= (1.5 + 0.25 * d[i]) * (1.5 + 0.25 * d[A2.col(k)]);
+
+  MultifrontalCholesky<double> reused;
+  reused.symbolic(A1);
+  reused.numeric(A1);
+  reused.numeric(A2);
+  MultifrontalCholesky<double> fresh;
+  fresh.symbolic(A2);
+  fresh.numeric(A2);
+  const auto& r = reused.factorization().L.values();
+  const auto& f = fresh.factorization().L.values();
+  ASSERT_EQ(r.size(), f.size());
+  EXPECT_EQ(std::memcmp(r.data(), f.data(), r.size() * sizeof(double)), 0);
+  EXPECT_EQ(reused.factorization().sn_ptr, fresh.factorization().sn_ptr);
+  expect_matches_dense_cholesky(A2, reused);
+}
+
+template <class Scalar>
+class LowPrecisionFronts : public ::testing::Test {};
+using LowPrecisionScalars = ::testing::Types<float, half>;
+TYPED_TEST_SUITE(LowPrecisionFronts, LowPrecisionScalars);
+
+TYPED_TEST(LowPrecisionFronts, SolveSmallSpdSystem) {
+  using Scalar = TypeParam;
+  auto Ad = laplace2d(6, 5);
+  Ad = la::permute_symmetric(Ad, graph::nested_dissection(graph::build_graph(Ad)));
+  const auto A = Ad.template convert<Scalar>();
+  const auto xref = random_vector(A.num_rows(), 11);
+  std::vector<double> bd;
+  la::spmv(Ad, xref, bd);
+  MultifrontalCholesky<Scalar> chol;
+  chol.symbolic(A);
+  chol.numeric(A);
+  const auto& f = chol.factorization();
+  EXPECT_EQ(f.sn_ptr, detect_supernodes(f.U));
+  std::vector<Scalar> x(bd.begin(), bd.end());
+  trisolve::forward_solve(f.L, f.unit_diag_L, x);
+  trisolve::backward_solve(f.U, x);
+  // Laplace's condition number here is ~30: the error is a few units of
+  // the precision's roundoff times that.
+  const double tol = std::is_same_v<Scalar, float> ? 1e-4 : 5e-2;
+  for (size_t i = 0; i < x.size(); ++i)
+    EXPECT_NEAR(static_cast<double>(x[i]), xref[i], tol) << i;
 }
 
 class DirectSweep : public ::testing::TestWithParam<std::tuple<index_t, bool>> {};

@@ -826,10 +826,12 @@ TEST(RefreshSuite, BitwiseIdenticalToColdSetupThroughThreeLevelHierarchy) {
 }
 
 TEST(RefreshSuite, FiveMatrixScaledSequencePinsIterations) {
-  // Power-of-two scalings are exact in floating point, so the whole Krylov
-  // trajectory scales exactly: every step of the sequence must converge in
-  // the SAME iteration count, each refreshed solve bitwise matching a cold
-  // solver on that step's matrix.
+  // Scaling by 4^step is exact in floating point, and so is every square
+  // root the Cholesky factors take of it (sqrt(4^s x) == 2^s sqrt(x)), so
+  // the whole Krylov trajectory scales exactly: every step of the sequence
+  // must converge in the SAME iteration count, each refreshed solve bitwise
+  // matching a cold solver on that step's matrix.  (An odd power of two
+  // would not do: sqrt(2x) is not exactly sqrt(2) sqrt(x).)
   auto p = test::laplace_problem(16, 2, 2, 2);
   SolverConfig cfg;
   std::vector<double> b(static_cast<size_t>(p.A.num_rows()), 1.0);
@@ -840,7 +842,7 @@ TEST(RefreshSuite, FiveMatrixScaledSequencePinsIterations) {
   ASSERT_TRUE(rep0.converged);
   for (int step = 1; step < 5; ++step) {
     auto Ak = p.A;
-    const double scale = static_cast<double>(1 << step);
+    const double scale = static_cast<double>(1 << (2 * step));
     for (auto& v : Ak.values()) v *= scale;
     warm.refresh(Ak);
     std::vector<double> xr;
