@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Local mirror of the tier-1 verify and of what CI runs: header
-# self-containment check, configure, build everything (libraries, 12 test
-# suites, 11 benches, 5 examples), then run the full CTest suite.
+# self-containment check, configure, build everything (libraries, 17 test
+# suites, 18 benches, 6 examples), then run the full CTest suite.
 #
 # Usage:
 #   scripts/check.sh            # Release build into build/

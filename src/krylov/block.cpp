@@ -4,14 +4,22 @@
 
 #include "common/error.hpp"
 
-// Batched-fused block Krylov (see block.hpp).  Implementation rule: every
-// per-column arithmetic statement is copied VERBATIM from the single-vector
-// solver (gmres.cpp / cg.hpp) and executed in the same order within the
-// column, and every distributed reduction the scalar solver performs at a
-// given point of the iteration appears here as one slot range of a fused
-// dist_fused_dots call at the same point.  That rule is what the width-1
-// bitwise-identity tests in test_comm.cpp pin down.
+// The one Krylov core of restarted GMRES and CG (see block.hpp).  Every
+// entry point -- gmres(), cg(), block_gmres(), block_cg() -- runs the same
+// lockstep loop over pointer columns; a single-vector solve is width 1.
+// Every distributed reduction of a lockstep stage is one slot range of a
+// fused dist_fused_dots call, so a column's arithmetic, and the bits it
+// produces, never depend on which other columns share the block.
 namespace frosch::krylov {
+
+const char* to_string(OrthoKind k) {
+  switch (k) {
+    case OrthoKind::MGS: return "mgs";
+    case OrthoKind::CGS2: return "cgs2";
+    case OrthoKind::SingleReduce: return "single-reduce";
+  }
+  return "unknown";
+}
 
 namespace {
 
@@ -20,8 +28,32 @@ using ColPtrs = std::vector<const std::vector<Scalar>*>;
 template <class Scalar>
 using MutColPtrs = std::vector<std::vector<Scalar>*>;
 
+/// The block initial-guess contract: X is empty (every column a zero
+/// guess) or matches B's width; the columns are handed to the core by
+/// pointer.
+template <class Scalar>
+void column_ptrs(const std::vector<std::vector<Scalar>>& B,
+                 std::vector<std::vector<Scalar>>& X, ColPtrs<Scalar>& bs,
+                 MutColPtrs<Scalar>& xs, const char* who) {
+  FROSCH_CHECK(B.size() == X.size() || X.empty(),
+               who << ": X must be empty or match B's width");
+  if (X.empty()) X.resize(B.size());
+  for (size_t c = 0; c < B.size(); ++c) {
+    bs.push_back(&B[c]);
+    xs.push_back(&X[c]);
+  }
+}
+
+/// A width-1 solve's result: the column's convergence data, carrying the
+/// block's aggregate operation profile.
+SolveResult solo(BlockSolveResult&& br) {
+  SolveResult res = std::move(br.columns[0]);
+  res.profile = br.profile;
+  return res;
+}
+
 // ---------------------------------------------------------------------------
-// Block GMRES
+// GMRES
 // ---------------------------------------------------------------------------
 
 template <class Scalar>
@@ -37,28 +69,63 @@ struct GmresColumn {
   bool finished = false;
   bool at_restart = true;  ///< cycle must be (re)initialized before stepping
   bool end_cycle = false;  ///< flagged for this iteration's cycle-end stage
-  bool fallback = false;   ///< cancellation fallback fired this step
   SolveResult res;
 
   GmresColumn() : H(0, 0) {}
 };
 
-}  // namespace
+/// The width-1 orthogonalizations (MGS and CGS2, kept for the
+/// orthogonalization ablation): orthogonalizes w against V[0..j], writing
+/// the coefficients into h[0..j] and the norm of the orthogonalized w into
+/// h[j+1] (zero on breakdown).  Their reduction count grows with the basis
+/// or comes in rounds, so they cannot fuse across columns.
+template <class Scalar>
+void orthogonalize_column(std::vector<std::vector<Scalar>>& V, index_t j,
+                          std::vector<Scalar>& w, std::vector<Scalar>& h,
+                          OrthoKind kind, OpProfile* prof,
+                          const exec::ExecPolicy& ex,
+                          const la::DistContext& dc) {
+  using la::dist_axpy;
+  using la::dist_dot;
+  using la::dist_multi_dot;
+  using la::dist_norm2;
+  if (kind == OrthoKind::MGS) {
+    // One reduction per projection plus the final norm: j+2 reductions.
+    for (index_t i = 0; i <= j; ++i) {
+      const Scalar hij = dist_dot(dc, V[i], w, prof, ex);
+      h[i] = hij;
+      dist_axpy(dc, -hij, V[i], w, prof, ex);
+    }
+    const Scalar nrm = dist_norm2(dc, w, prof, ex);
+    h[j + 1] = nrm;
+    return;
+  }
+  // CGS2: two fused projection passes + final norm: 3 reductions.
+  std::vector<Scalar> c1, c2;
+  std::vector<std::vector<Scalar>> basis(V.begin(), V.begin() + j + 1);
+  dist_multi_dot(dc, basis, w, c1, prof, ex);
+  for (index_t i = 0; i <= j; ++i) dist_axpy(dc, -c1[i], V[i], w, prof, ex);
+  dist_multi_dot(dc, basis, w, c2, prof, ex);
+  for (index_t i = 0; i <= j; ++i) {
+    dist_axpy(dc, -c2[i], V[i], w, prof, ex);
+    h[i] = c1[i] + c2[i];
+  }
+  const Scalar nrm = dist_norm2(dc, w, prof, ex);
+  h[j + 1] = nrm;
+}
 
 template <class Scalar>
-BlockSolveResult block_gmres(const LinearOperator<Scalar>& A,
-                             const LinearOperator<Scalar>* prec,
-                             const std::vector<std::vector<Scalar>>& B,
-                             std::vector<std::vector<Scalar>>& X,
-                             const GmresOptions& opts) {
-  FROSCH_CHECK(A.rows() == A.cols(), "block_gmres: square operator required");
-  FROSCH_CHECK(opts.restart > 0, "block_gmres: restart must be positive");
-  FROSCH_CHECK(opts.ortho == OrthoKind::SingleReduce,
+BlockSolveResult gmres_core(const LinearOperator<Scalar>& A,
+                            const LinearOperator<Scalar>* prec,
+                            const ColPtrs<Scalar>& B,
+                            const MutColPtrs<Scalar>& X,
+                            const GmresOptions& opts) {
+  FROSCH_CHECK(A.rows() == A.cols(), "gmres: square operator required");
+  FROSCH_CHECK(opts.restart > 0, "gmres: restart must be positive");
+  FROSCH_CHECK(opts.ortho == OrthoKind::SingleReduce || B.size() <= 1,
                "block_gmres: only the single-reduce orthogonalization has a "
                "width-independent reduction structure; got "
-                   << to_string(opts.ortho));
-  FROSCH_CHECK(B.size() == X.size() || X.empty(),
-               "block_gmres: X must be empty or match B's width");
+                   << to_string(opts.ortho) << " at width " << B.size());
   const index_t n = A.rows();
   const index_t m = opts.restart;
   const size_t nb = B.size();
@@ -66,7 +133,6 @@ BlockSolveResult block_gmres(const LinearOperator<Scalar>& A,
   BlockSolveResult out;
   out.columns.resize(nb);
   if (nb == 0) return out;
-  if (X.empty()) X.resize(nb);
   OpProfile* prof = &out.profile;
   const exec::ExecPolicy& ex = opts.exec;
   const la::DistContext& dc = opts.dist;
@@ -74,15 +140,18 @@ BlockSolveResult block_gmres(const LinearOperator<Scalar>& A,
   std::vector<GmresColumn<Scalar>> cols(nb);
   for (size_t c = 0; c < nb; ++c) {
     auto& cl = cols[c];
-    FROSCH_CHECK(static_cast<index_t>(B[c].size()) == n,
-                 "block_gmres: rhs size mismatch in column " << c);
-    FROSCH_CHECK(X[c].empty() || static_cast<index_t>(X[c].size()) == n,
-                 "block_gmres: column " << c
+    FROSCH_CHECK(static_cast<index_t>(B[c]->size()) == n,
+                 "gmres: rhs size mismatch in column " << c);
+    // Initial-guess contract (krylov/solver.hpp): empty = zero guess; a
+    // system-sized column is a warm start; anything else is a caller bug.
+    FROSCH_CHECK(X[c]->empty() || static_cast<index_t>(X[c]->size()) == n,
+                 "gmres: column " << c
                      << " must be empty (zero initial guess) or sized like "
-                        "the system (warm start); got " << X[c].size());
-    X[c].resize(static_cast<size_t>(n), Scalar(0));
-    cl.b = &B[c];
-    cl.x = &X[c];
+                        "the system (warm start); got " << X[c]->size()
+                     << " for n = " << n);
+    X[c]->resize(static_cast<size_t>(n), Scalar(0));
+    cl.b = B[c];
+    cl.x = X[c];
     cl.V.resize(static_cast<size_t>(m) + 1);
     cl.H = la::DenseMatrix<Scalar>(m + 1, m);
     cl.cs.assign(static_cast<size_t>(m), Scalar(0));
@@ -118,9 +187,9 @@ BlockSolveResult block_gmres(const LinearOperator<Scalar>& A,
     la::dist_fused_dots(dc, jobs, nr2, prof, ex);
     for (size_t c = 0; c < nb; ++c) {
       auto& cl = cols[c];
-      const double beta0 = static_cast<double>(
-          std::sqrt(nr2[c]));
+      const double beta0 = static_cast<double>(std::sqrt(nr2[c]));
       cl.res.initial_residual = beta0;
+      cl.res.final_residual = beta0;
       cl.res.residual_history.push_back(beta0);
       if (beta0 == 0.0) {
         cl.res.converged = true;
@@ -128,6 +197,9 @@ BlockSolveResult block_gmres(const LinearOperator<Scalar>& A,
       } else {
         cl.target = opts.tol * beta0;
         cl.beta = beta0;
+        // The iteration cap holds before the first step too: max_iters = 0
+        // leaves x exactly as the caller passed it.
+        cl.finished = opts.max_iters <= 0;
       }
     }
   }
@@ -180,72 +252,80 @@ BlockSolveResult block_gmres(const LinearOperator<Scalar>& A,
       A.apply_columns(ins, outs, prof);
     }
 
-    // --- fused single-reduce orthogonalization: column c contributes its
-    // [V_c^T w_c ; w_c^T w_c] slots (j_c + 2 of them) to ONE all-reduce ---
-    jobs.clear();
-    for (size_t c : act) {
-      auto& cl = cols[c];
-      for (index_t i = 0; i <= cl.j; ++i)
-        jobs.push_back({&cl.V[static_cast<size_t>(i)], &cl.w});
-      jobs.push_back({&cl.w, &cl.w});
-    }
-    la::dist_fused_dots(dc, jobs, vals, prof, ex);
+    // --- orthogonalization.  Single-reduce: column c contributes its
+    // [V_c^T w_c ; w_c^T w_c] slots (j_c + 2 of them) to ONE all-reduce,
+    // and the norm of the projected w_c follows from the Pythagorean
+    // identity ||w - V c||^2 = w^T w - ||c||^2 (V orthonormal).  MGS and
+    // CGS2 run at width 1 only (checked above). ---
     fb.clear();
-    {
-      size_t off = 0;
-      for (size_t c : act) {
-        auto& cl = cols[c];
-        const index_t j = cl.j;
-        const Scalar wtw = vals[off + static_cast<size_t>(j) + 1];
-        Scalar c2 = Scalar(0);
-        for (index_t i = 0; i <= j; ++i) {
-          cl.h[static_cast<size_t>(i)] = vals[off + static_cast<size_t>(i)];
-          c2 += cl.h[static_cast<size_t>(i)] * cl.h[static_cast<size_t>(i)];
-        }
-        for (index_t i = 0; i <= j; ++i)
-          la::dist_axpy(dc, -cl.h[static_cast<size_t>(i)],
-                        cl.V[static_cast<size_t>(i)], cl.w, prof, ex);
-        const Scalar nrm2v = wtw - c2;
-        if (!(nrm2v > Scalar(1e-4) * wtw)) {
-          // Same cancellation safeguard as the scalar path; the fallback
-          // columns' re-orthogonalization is fused below.
-          cl.fallback = true;
-          fb.push_back(c);
-        } else {
-          cl.h[static_cast<size_t>(j) + 1] = std::sqrt(nrm2v);
-        }
-        off += static_cast<size_t>(j) + 2;
-      }
-    }
-    if (!fb.empty()) {
-      // "Twice is enough" re-orthogonalization, fused across the columns
-      // that triggered it: one all-reduce for the projections, the axpys,
-      // then one all-reduce for the explicit norms -- the same two extra
-      // collectives the scalar fallback costs.
+    if (opts.ortho != OrthoKind::SingleReduce) {
+      auto& cl = cols[act[0]];
+      orthogonalize_column(cl.V, cl.j, cl.w, cl.h, opts.ortho, prof, ex, dc);
+    } else {
       jobs.clear();
-      for (size_t c : fb) {
+      for (size_t c : act) {
         auto& cl = cols[c];
         for (index_t i = 0; i <= cl.j; ++i)
           jobs.push_back({&cl.V[static_cast<size_t>(i)], &cl.w});
+        jobs.push_back({&cl.w, &cl.w});
       }
       la::dist_fused_dots(dc, jobs, vals, prof, ex);
-      size_t off = 0;
-      for (size_t c : fb) {
-        auto& cl = cols[c];
-        for (index_t i = 0; i <= cl.j; ++i) {
-          const Scalar ci = vals[off + static_cast<size_t>(i)];
-          la::dist_axpy(dc, -ci, cl.V[static_cast<size_t>(i)], cl.w, prof, ex);
-          cl.h[static_cast<size_t>(i)] += ci;
+      {
+        size_t off = 0;
+        for (size_t c : act) {
+          auto& cl = cols[c];
+          const index_t j = cl.j;
+          const Scalar wtw = vals[off + static_cast<size_t>(j) + 1];
+          Scalar c2 = Scalar(0);
+          for (index_t i = 0; i <= j; ++i) {
+            cl.h[static_cast<size_t>(i)] = vals[off + static_cast<size_t>(i)];
+            c2 += cl.h[static_cast<size_t>(i)] * cl.h[static_cast<size_t>(i)];
+          }
+          for (index_t i = 0; i <= j; ++i)
+            la::dist_axpy(dc, -cl.h[static_cast<size_t>(i)],
+                          cl.V[static_cast<size_t>(i)], cl.w, prof, ex);
+          const Scalar nrm2v = wtw - c2;
+          if (!(nrm2v > Scalar(1e-4) * wtw)) {
+            // Severe cancellation (the projection removed nearly all of w):
+            // the Pythagorean estimate is untrustworthy and the CGS1
+            // projection has lost orthogonality.  Re-orthogonalize once and
+            // take an explicit norm -- the standard "twice is enough"
+            // safeguard production low-synch implementations apply in this
+            // regime, fused below over the columns that triggered it.
+            fb.push_back(c);
+          } else {
+            cl.h[static_cast<size_t>(j) + 1] = std::sqrt(nrm2v);
+          }
+          off += static_cast<size_t>(j) + 2;
         }
-        off += static_cast<size_t>(cl.j) + 1;
       }
-      jobs.clear();
-      for (size_t c : fb) jobs.push_back({&cols[c].w, &cols[c].w});
-      la::dist_fused_dots(dc, jobs, vals, prof, ex);
-      for (size_t q = 0; q < fb.size(); ++q) {
-        auto& cl = cols[fb[q]];
-        cl.h[static_cast<size_t>(cl.j) + 1] = std::sqrt(vals[q]);
-        cl.fallback = false;
+      if (!fb.empty()) {
+        // One all-reduce for the projections, the axpys, then one all-reduce
+        // for the explicit norms: two extra collectives at any width.
+        jobs.clear();
+        for (size_t c : fb) {
+          auto& cl = cols[c];
+          for (index_t i = 0; i <= cl.j; ++i)
+            jobs.push_back({&cl.V[static_cast<size_t>(i)], &cl.w});
+        }
+        la::dist_fused_dots(dc, jobs, vals, prof, ex);
+        size_t off = 0;
+        for (size_t c : fb) {
+          auto& cl = cols[c];
+          for (index_t i = 0; i <= cl.j; ++i) {
+            const Scalar ci = vals[off + static_cast<size_t>(i)];
+            la::dist_axpy(dc, -ci, cl.V[static_cast<size_t>(i)], cl.w, prof, ex);
+            cl.h[static_cast<size_t>(i)] += ci;
+          }
+          off += static_cast<size_t>(cl.j) + 1;
+        }
+        jobs.clear();
+        for (size_t c : fb) jobs.push_back({&cols[c].w, &cols[c].w});
+        la::dist_fused_dots(dc, jobs, vals, prof, ex);
+        for (size_t q = 0; q < fb.size(); ++q) {
+          auto& cl = cols[fb[q]];
+          cl.h[static_cast<size_t>(cl.j) + 1] = std::sqrt(vals[q]);
+        }
       }
     }
 
@@ -259,8 +339,11 @@ BlockSolveResult block_gmres(const LinearOperator<Scalar>& A,
       auto& cs = cl.cs;
       auto& sn = cl.sn;
       if (!(h[static_cast<size_t>(j) + 1] > Scalar(0))) {
-        // Breakdown (see gmres.cpp): rotate the final column into the basis
-        // of the accumulated Givens rotations; no new rotation is needed.
+        // Breakdown: the Krylov space is invariant and the solution exact
+        // in it.  The back-substitution solves against g, which lives in
+        // the basis rotated by the accumulated Givens rotations, so the
+        // breakdown column is rotated into that basis too (its subdiagonal
+        // h[j+1] is zero: no new rotation is needed).
         for (index_t i = 0; i < j; ++i) {
           const Scalar t = cs[static_cast<size_t>(i)] * h[static_cast<size_t>(i)] +
                            sn[static_cast<size_t>(i)] * h[static_cast<size_t>(i) + 1];
@@ -293,7 +376,7 @@ BlockSolveResult block_gmres(const LinearOperator<Scalar>& A,
       }
       const Scalar a = H(j, j), bb = H(j + 1, j);
       const Scalar rho = std::sqrt(a * a + bb * bb);
-      FROSCH_CHECK(rho > Scalar(0), "block_gmres: Givens breakdown");
+      FROSCH_CHECK(rho > Scalar(0), "gmres: Givens breakdown");
       cs[static_cast<size_t>(j)] = a / rho;
       sn[static_cast<size_t>(j)] = bb / rho;
       H(j, j) = rho;
@@ -333,7 +416,7 @@ BlockSolveResult block_gmres(const LinearOperator<Scalar>& A,
     }
     if (prec) {
       // z <- M^{-1} z through one fused application (w is free here and
-      // serves as the scalar path's temporary t).
+      // serves as the temporary).
       ins.clear();
       outs.clear();
       for (size_t c : enders) {
@@ -365,6 +448,9 @@ BlockSolveResult block_gmres(const LinearOperator<Scalar>& A,
     jobs.clear();
     for (size_t c : enders) jobs.push_back({&cols[c].r, &cols[c].r});
     la::dist_fused_dots(dc, jobs, vals, prof, ex);
+    // The true residual replaces the cycle's last history entry (an
+    // implicit estimate).  An estimate-signalled convergence the true
+    // residual does not confirm, or an Arnoldi breakdown, restarts from it.
     for (size_t q = 0; q < enders.size(); ++q) {
       auto& cl = cols[enders[q]];
       cl.beta = static_cast<double>(std::sqrt(vals[q]));
@@ -387,10 +473,8 @@ BlockSolveResult block_gmres(const LinearOperator<Scalar>& A,
 }
 
 // ---------------------------------------------------------------------------
-// Block CG
+// CG
 // ---------------------------------------------------------------------------
-
-namespace {
 
 template <class Scalar>
 struct CgColumn {
@@ -403,24 +487,18 @@ struct CgColumn {
   SolveResult res;
 };
 
-}  // namespace
-
 template <class Scalar>
-BlockSolveResult block_cg(const LinearOperator<Scalar>& A,
-                          const LinearOperator<Scalar>* prec,
-                          const std::vector<std::vector<Scalar>>& B,
-                          std::vector<std::vector<Scalar>>& X,
-                          const CgOptions& opts) {
-  FROSCH_CHECK(A.rows() == A.cols(), "block_cg: square operator required");
-  FROSCH_CHECK(B.size() == X.size() || X.empty(),
-               "block_cg: X must be empty or match B's width");
+BlockSolveResult cg_core(const LinearOperator<Scalar>& A,
+                         const LinearOperator<Scalar>* prec,
+                         const ColPtrs<Scalar>& B, const MutColPtrs<Scalar>& X,
+                         const CgOptions& opts) {
+  FROSCH_CHECK(A.rows() == A.cols(), "cg: square operator required");
   const index_t n = A.rows();
   const size_t nb = B.size();
 
   BlockSolveResult out;
   out.columns.resize(nb);
   if (nb == 0) return out;
-  if (X.empty()) X.resize(nb);
   OpProfile* prof = &out.profile;
   const exec::ExecPolicy& ex = opts.exec;
   const la::DistContext& dc = opts.dist;
@@ -428,15 +506,16 @@ BlockSolveResult block_cg(const LinearOperator<Scalar>& A,
   std::vector<CgColumn<Scalar>> cols(nb);
   for (size_t c = 0; c < nb; ++c) {
     auto& cl = cols[c];
-    FROSCH_CHECK(static_cast<index_t>(B[c].size()) == n,
-                 "block_cg: rhs size mismatch in column " << c);
-    FROSCH_CHECK(X[c].empty() || static_cast<index_t>(X[c].size()) == n,
-                 "block_cg: column " << c
+    FROSCH_CHECK(static_cast<index_t>(B[c]->size()) == n,
+                 "cg: rhs size mismatch in column " << c);
+    FROSCH_CHECK(X[c]->empty() || static_cast<index_t>(X[c]->size()) == n,
+                 "cg: column " << c
                      << " must be empty (zero initial guess) or sized like "
-                        "the system (warm start); got " << X[c].size());
-    X[c].resize(static_cast<size_t>(n), Scalar(0));
-    cl.b = &B[c];
-    cl.x = &X[c];
+                        "the system (warm start); got " << X[c]->size()
+                     << " for n = " << n);
+    X[c]->resize(static_cast<size_t>(n), Scalar(0));
+    cl.b = B[c];
+    cl.x = X[c];
     cl.r.assign(static_cast<size_t>(n), Scalar(0));
     cl.z.assign(static_cast<size_t>(n), Scalar(0));
     cl.Ap.assign(static_cast<size_t>(n), Scalar(0));
@@ -471,12 +550,14 @@ BlockSolveResult block_cg(const LinearOperator<Scalar>& A,
       auto& cl = cols[c];
       const double beta0 = static_cast<double>(std::sqrt(vals[c]));
       cl.res.initial_residual = beta0;
+      cl.res.final_residual = beta0;
       cl.res.residual_history.push_back(beta0);
       if (beta0 == 0.0) {
         cl.res.converged = true;
         cl.finished = true;
       } else {
         cl.target = opts.tol * beta0;
+        cl.finished = opts.max_iters <= 0;  // the cap holds before step one
       }
     }
   }
@@ -525,7 +606,7 @@ BlockSolveResult block_cg(const LinearOperator<Scalar>& A,
       auto& cl = cols[act[q]];
       const Scalar pAp = vals[q];
       FROSCH_CHECK(pAp > Scalar(0),
-                   "block_cg: operator not SPD (p^T A p <= 0) in column "
+                   "cg: operator not SPD (p^T A p <= 0) in column "
                        << act[q]);
       const Scalar alpha = cl.rz / pAp;
       la::dist_axpy(dc, alpha, cl.p, *cl.x, prof, ex);
@@ -547,8 +628,9 @@ BlockSolveResult block_cg(const LinearOperator<Scalar>& A,
       if (rn <= cl.target) confirm.push_back(act[q]);
     }
     if (!confirm.empty()) {
-      // True-residual confirmation (the scalar safeguard), fused over the
-      // columns that signalled convergence.
+      // Confirm against the true residual (the recurrence r drifts over
+      // many iterations -- the same safeguard GMRES applies at its
+      // restarts), fused over the columns that signalled convergence.
       ins.clear();
       outs.clear();
       for (size_t c : confirm) {
@@ -579,8 +661,8 @@ BlockSolveResult block_cg(const LinearOperator<Scalar>& A,
     }
 
     // Stage 3 of 3: fused z = M^{-1} r and one all-reduce for every r.z.
-    // Columns at max_iters still run it (exactly the scalar loop's trailing
-    // work on its last pass) and are retired afterwards.
+    // Columns at max_iters still run it on their last pass and are retired
+    // afterwards.
     act.clear();
     for (size_t c = 0; c < nb; ++c)
       if (!cols[c].finished) act.push_back(c);
@@ -617,6 +699,64 @@ BlockSolveResult block_cg(const LinearOperator<Scalar>& A,
   return out;
 }
 
+}  // namespace
+
+template <class Scalar>
+SolveResult gmres(const LinearOperator<Scalar>& A,
+                  const LinearOperator<Scalar>* prec,
+                  const std::vector<Scalar>& b, std::vector<Scalar>& x,
+                  const GmresOptions& opts) {
+  return solo(gmres_core<Scalar>(A, prec, {&b}, {&x}, opts));
+}
+
+template <class Scalar>
+SolveResult cg(const LinearOperator<Scalar>& A,
+               const LinearOperator<Scalar>* prec,
+               const std::vector<Scalar>& b, std::vector<Scalar>& x,
+               const CgOptions& opts) {
+  return solo(cg_core<Scalar>(A, prec, {&b}, {&x}, opts));
+}
+
+template <class Scalar>
+BlockSolveResult block_gmres(const LinearOperator<Scalar>& A,
+                             const LinearOperator<Scalar>* prec,
+                             const std::vector<std::vector<Scalar>>& B,
+                             std::vector<std::vector<Scalar>>& X,
+                             const GmresOptions& opts) {
+  ColPtrs<Scalar> bs;
+  MutColPtrs<Scalar> xs;
+  column_ptrs(B, X, bs, xs, "block_gmres");
+  return gmres_core(A, prec, bs, xs, opts);
+}
+
+template <class Scalar>
+BlockSolveResult block_cg(const LinearOperator<Scalar>& A,
+                          const LinearOperator<Scalar>* prec,
+                          const std::vector<std::vector<Scalar>>& B,
+                          std::vector<std::vector<Scalar>>& X,
+                          const CgOptions& opts) {
+  ColPtrs<Scalar> bs;
+  MutColPtrs<Scalar> xs;
+  column_ptrs(B, X, bs, xs, "block_cg");
+  return cg_core(A, prec, bs, xs, opts);
+}
+
+template SolveResult gmres<double>(const LinearOperator<double>&,
+                                   const LinearOperator<double>*,
+                                   const std::vector<double>&,
+                                   std::vector<double>&, const GmresOptions&);
+template SolveResult gmres<float>(const LinearOperator<float>&,
+                                  const LinearOperator<float>*,
+                                  const std::vector<float>&,
+                                  std::vector<float>&, const GmresOptions&);
+template SolveResult cg<double>(const LinearOperator<double>&,
+                                const LinearOperator<double>*,
+                                const std::vector<double>&,
+                                std::vector<double>&, const CgOptions&);
+template SolveResult cg<float>(const LinearOperator<float>&,
+                               const LinearOperator<float>*,
+                               const std::vector<float>&, std::vector<float>&,
+                               const CgOptions&);
 template BlockSolveResult block_gmres<double>(
     const LinearOperator<double>&, const LinearOperator<double>*,
     const std::vector<std::vector<double>>&,

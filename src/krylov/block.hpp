@@ -1,23 +1,23 @@
-// Batched multi-RHS Krylov solvers: block GMRES and block CG run WIDTH
-// independent solves in lockstep over a multi-column block, fusing the
-// per-iteration communication across columns --
+// The Krylov core: block GMRES and block CG run WIDTH independent solves
+// in lockstep over a multi-column block, fusing the per-iteration
+// communication across columns --
 //
 //   * operator / preconditioner applications go through
 //     LinearOperator::apply_columns (one ghost import per block application
 //     on the distributed operator),
 //   * every reduction stage batches ALL columns' partial sums into ONE
-//     measured allreduce_slots via la::dist_fused_dots, so a block GMRES
-//     iteration performs exactly one collective regardless of the width
-//     (block CG keeps its fixed three stages per iteration).
+//     measured allreduce_slots via la::dist_fused_dots, so a single-reduce
+//     GMRES iteration performs exactly one collective regardless of the
+//     width (CG keeps its fixed three stages per iteration).
 //
-// Each column is advanced with exactly the single-vector recurrences of
-// gmres() / cg(): fused all-reduce slots fold independently, so a column's
-// trajectory -- iterates, Givens rotations, residual history, iteration
-// count -- never depends on which other columns share the block.  Width 1
-// is bitwise identical to gmres() / cg(), and a column's results are
-// reproduced bit for bit at ANY batch composition.  Converged columns are
-// DEFLATED: they drop out of the lockstep and stop contributing work and
-// all-reduce payload while the rest continue.
+// The single-vector gmres() / cg() are this code at width 1 -- there is
+// no second implementation.  Fused all-reduce slots fold independently, so
+// a column's trajectory -- iterates, Givens rotations, residual history,
+// iteration count -- never depends on which other columns share the block:
+// it is reproduced bit for bit by its solo solve and at ANY batch
+// composition.  Converged columns are DEFLATED: they drop out of the
+// lockstep and stop contributing work and all-reduce payload while the
+// rest continue.
 #pragma once
 
 #include "krylov/cg.hpp"
@@ -48,9 +48,10 @@ struct BlockSolveResult {
 
 /// Block GMRES over B.size() right-hand sides; X[c] obeys the single-vector
 /// initial-guess contract per column (empty = zero guess, system-sized =
-/// warm start).  Requires opts.ortho == OrthoKind::SingleReduce -- the only
-/// orthogonalization whose per-iteration reduction structure is width-
-/// independent (MGS/CGS2 would serialize desynchronized columns).
+/// warm start).  Above width 1 it requires opts.ortho ==
+/// OrthoKind::SingleReduce -- the only orthogonalization whose
+/// per-iteration reduction structure is width-independent (MGS/CGS2 would
+/// serialize desynchronized columns).
 template <class Scalar>
 BlockSolveResult block_gmres(const LinearOperator<Scalar>& A,
                              const LinearOperator<Scalar>* prec,

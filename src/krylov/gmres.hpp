@@ -64,7 +64,9 @@ struct SolveResult {
 
 /// Right-preconditioned restarted GMRES:  solves A x = b, applying
 /// prec = M^{-1} after every operator application (pass nullptr for none).
-/// x serves as initial guess and result.
+/// x serves as initial guess and result.  A width-1 block_gmres
+/// (krylov/block.hpp), so every orthogonalization kind is allowed here;
+/// instantiated for double and float.
 template <class Scalar>
 SolveResult gmres(const LinearOperator<Scalar>& A,
                   const LinearOperator<Scalar>* prec,

@@ -121,7 +121,8 @@ class CsrOperator final : public LinearOperator<Scalar> {
 /// application scatters the owned entries, performs the REAL ghost import
 /// (measured messages + payload through the communicator), runs the
 /// rank-local SpMVs, and gathers the owned results.  Bitwise identical to
-/// CsrOperator at every rank count (see la/dist.hpp).
+/// CsrOperator at every rank count (see la/dist.hpp).  A single-vector
+/// apply is the block application at width 1: one kernel, one charging.
 ///
 /// `overlap` (default on, the SolverConfig `overlap_comm` key) selects the
 /// overlapped path: the ghost import is POSTED, interior rows compute while
@@ -133,8 +134,7 @@ class DistCsrOperator final : public LinearOperator<Scalar> {
  public:
   DistCsrOperator(const la::DistCsrMatrix<Scalar>& A, comm::Communicator& comm,
                   const exec::ExecPolicy& policy = {}, bool overlap = true)
-      : A_(A), comm_(comm), policy_(policy), overlap_(overlap), x_(*A.plan),
-        y_(*A.plan), halo_msgs_(A.plan->messages(sizeof(Scalar))) {}
+      : A_(A), comm_(comm), policy_(policy), overlap_(overlap) {}
 
   index_t rows() const override { return A_.plan->n; }
   index_t cols() const override { return A_.plan->n; }
@@ -142,20 +142,13 @@ class DistCsrOperator final : public LinearOperator<Scalar> {
  protected:
   void apply_impl(const std::vector<Scalar>& x, std::vector<Scalar>& y,
                   OpProfile* prof) const override {
-    x_.scatter_owned(x, policy_);
-    if (overlap_) {
-      la::dist_spmv_overlapped(comm_, A_, halo_msgs_, x_, y_, prof);
-    } else {
-      la::halo_import(comm_, *A_.plan, halo_msgs_, x_);
-      la::dist_spmv(comm_, A_, x_, y_, prof);
-    }
-    y_.gather_owned(y, policy_);
+    apply_columns_impl({&x}, {&y}, prof);
   }
 
   /// Fused block application: ONE ghost import (one message per transfer,
   /// width-scaled payload) serves every column, and the local matrices are
   /// streamed once for the whole block.  Column results are bitwise
-  /// identical to apply() on each column separately.
+  /// identical to la::spmv on each column.
   void apply_columns_impl(const std::vector<const std::vector<Scalar>*>& X,
                           const std::vector<std::vector<Scalar>*>& Y,
                           OpProfile* prof) const override {
@@ -180,10 +173,8 @@ class DistCsrOperator final : public LinearOperator<Scalar> {
   comm::Communicator& comm_;
   exec::ExecPolicy policy_;
   bool overlap_;
-  mutable la::DistVector<Scalar> x_, y_;
-  mutable la::DistMultiVector<Scalar> xb_, yb_;  ///< block-apply staging
-  mutable std::vector<comm::Message> block_msgs_;
-  std::vector<comm::Message> halo_msgs_;  ///< cached off the hot path
+  mutable la::DistMultiVector<Scalar> xb_, yb_;  ///< staging of the last width
+  mutable std::vector<comm::Message> block_msgs_;  ///< cached per width
 };
 
 }  // namespace frosch::krylov

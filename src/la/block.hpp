@@ -1,21 +1,19 @@
-// Multi-column (block) extensions of the rank-sharded linear algebra in
-// la/dist.hpp -- the kernels behind the batched multi-RHS solve service:
+// Multi-column (block) kernels of the rank-sharded linear algebra in
+// la/dist.hpp -- the one distributed SpMV, used at width 1 by every single
+// operator application and at width w by the batched multi-RHS solves:
 //
 //   DistMultiVector   per-rank packed storage of a WIDTH-column block over a
 //                     HaloPlan's local column spaces, column-major per rank.
-//   halo_import       block overload: ONE ghost exchange (one message per
-//                     transfer) moves every column's ghosts -- the payload
-//                     scales with the width, the message count does not.
-//   dist_spmv_multi   Y = A X for all columns in one pass over the matrix.
-//   dist_fused_dots   arbitrary list of dot products fused into ONE measured
-//                     all-reduce -- the kernel that lets a block Krylov
-//                     iteration perform a single collective for all columns.
+//   halo_import       ONE ghost exchange (one message per transfer) moves
+//                     every column's ghosts -- the payload scales with the
+//                     width, the message count does not.
+//   dist_spmv_multi   Y = A X for all columns in one pass over the matrix;
+//                     dist_spmv_multi_overlapped hides the import behind the
+//                     interior rows.
 //
-// Determinism: each column's results are computed with exactly the kernels,
-// chunk grids, and summation orders of the single-vector path (dist.hpp /
-// vector_ops.hpp), so a width-1 block operation is bitwise identical to its
-// scalar twin, and a column's values never depend on which other columns
-// share the block (fused all-reduce slots fold independently).
+// Determinism: each column's row sums follow the global row's entry order
+// (see la/dist.hpp), so every column is bitwise identical to la::spmv and a
+// column's values never depend on which other columns share the block.
 #pragma once
 
 #include "la/dist.hpp"
@@ -113,14 +111,14 @@ struct DistMultiVector {
   }
 };
 
-/// Block ghost exchange: ONE message per transfer carries every column's
-/// ghost entries.  `msgs` must be plan.messages(sizeof(Scalar) * width) --
-/// the width-scaled payload of the fused import (cache it on the hot path).
+namespace detail {
+
+/// The copy of one ghost-exchange message: transfer m's ghost entries of
+/// every column, from the owning rank's storage into the destination's
+/// ghost slots.
 template <class Scalar>
-void halo_import(comm::Communicator& comm, const HaloPlan& plan,
-                 const std::vector<comm::Message>& msgs,
-                 DistMultiVector<Scalar>& x) {
-  comm.exchange(msgs, [&](size_t m) {
+auto ghost_copy(const HaloPlan& plan, DistMultiVector<Scalar>& x) {
+  return [&plan, &x](size_t m) {
     const auto& t = plan.transfers[m];
     const auto& src = x.vals[static_cast<size_t>(t.src)];
     auto& dst = x.vals[static_cast<size_t>(t.dst)];
@@ -132,36 +130,43 @@ void halo_import(comm::Communicator& comm, const HaloPlan& plan,
       for (size_t q = 0; q < t.ids.size(); ++q)
         dc[t.dst_slots[q]] = sc[t.src_slots[q]];
     }
-  });
+  };
 }
 
-/// Nonblocking block ghost exchange: the copies of every column happen NOW
-/// (bitwise identical to the blocking block halo_import), the wire charging
-/// and the measured overlap window happen at wait().
+}  // namespace detail
+
+/// The REAL ghost exchange: ONE message per transfer carries every column's
+/// ghost entries through the communicator, which records the message and
+/// its measured payload on the importing rank.  `msgs` must be
+/// plan.messages(sizeof(Scalar) * width) -- the width-scaled payload of the
+/// fused import (cache it on the hot path).
+template <class Scalar>
+void halo_import(comm::Communicator& comm, const HaloPlan& plan,
+                 const std::vector<comm::Message>& msgs,
+                 DistMultiVector<Scalar>& x) {
+  comm.exchange(msgs, detail::ghost_copy(plan, x));
+}
+
+/// Nonblocking ghost exchange: the copies of every column happen NOW (so
+/// ghost slots hold their final values, bitwise identical to halo_import),
+/// the wire charging and the measured overlap window happen at the
+/// returned handle's wait().  Between post and wait the caller may compute
+/// anything that does not read x's ghost slots.
 template <class Scalar>
 comm::PendingExchange halo_import_async(comm::Communicator& comm,
                                         const HaloPlan& plan,
                                         const std::vector<comm::Message>& msgs,
                                         DistMultiVector<Scalar>& x) {
-  return comm.exchange_async(msgs, [&](size_t m) {
-    const auto& t = plan.transfers[m];
-    const auto& src = x.vals[static_cast<size_t>(t.src)];
-    auto& dst = x.vals[static_cast<size_t>(t.dst)];
-    const size_t slen = plan.cols[static_cast<size_t>(t.src)].size();
-    const size_t dlen = plan.cols[static_cast<size_t>(t.dst)].size();
-    for (index_t c = 0; c < x.width; ++c) {
-      const Scalar* sc = src.data() + static_cast<size_t>(c) * slen;
-      Scalar* dc = dst.data() + static_cast<size_t>(c) * dlen;
-      for (size_t q = 0; q < t.ids.size(); ++q)
-        dc[t.dst_slots[q]] = sc[t.src_slots[q]];
-    }
-  });
+  return comm.exchange_async(msgs, detail::ghost_copy(plan, x));
 }
 
 namespace detail {
 
 /// Width-scaled local kernel accounting shared by dist_spmv_multi and its
-/// overlapped twin (identical by design, as for the single-vector pair).
+/// overlapped twin (identical by design: the overlapped path's benefit
+/// enters solely through the comm-side ov_/window fields its wait()
+/// records; the interior/boundary pass split is a host-side scheduling
+/// detail below the launch-accounting granularity).
 template <class Scalar>
 OpProfile spmv_multi_local_profile(const CsrMatrix<Scalar>& Al, index_t w) {
   OpProfile p;
@@ -186,6 +191,9 @@ void charge_spmv_multi(comm::Communicator& comm,
     const auto& Al = A.local[static_cast<size_t>(r)];
     comm.prof(r) += spmv_multi_local_profile(Al, w);
     if (arena != nullptr) {
+      // The SpMV kernel reads the rank's local matrix on the device: a
+      // stale mirror measures the staging it forces; the steady state of a
+      // Krylov loop is a no-op here (the matrix was staged at setup).
       if (Al.num_entries() > 0)
         arena->to_device(r, Al.values().data(), Al.storage_bytes(),
                          device::Xfer::Matrix);
@@ -193,6 +201,8 @@ void charge_spmv_multi(comm::Communicator& comm,
     }
   }
   if (prof) {
+    // Aggregate view: the per-rank shares summed, as ONE bulk-synchronous
+    // launch (matching la::spmv's whole-matrix accounting).
     OpProfile agg;
     for (const auto& Al : A.local) {
       OpProfile p = spmv_multi_local_profile(Al, w);
@@ -206,17 +216,17 @@ void charge_spmv_multi(comm::Communicator& comm,
   }
 }
 
-}  // namespace detail
-
-/// Rank-sharded Y = A X over an ALREADY-IMPORTED block X: one pass over
-/// each rank's local matrix serves every column, so the matrix is streamed
-/// once per block application instead of once per column.  Each column's
-/// row sums use exactly dist_spmv's traversal order (bitwise identical to
-/// the single-vector kernel, column by column).
+/// The row kernel of the distributed SpMV: every column of each rank's
+/// local rows -- all of them, or the per-rank row list `rows` when given.
+/// Row tasks: `sub` row-chunks per rank keep the pool busy when there are
+/// fewer virtual ranks than threads (per-row results are independent of
+/// the chunking and of the row list, so neither perturbs the bitwise
+/// contract).
 template <class Scalar>
-void dist_spmv_multi(comm::Communicator& comm, const DistCsrMatrix<Scalar>& A,
+void spmv_multi_rows(comm::Communicator& comm, const DistCsrMatrix<Scalar>& A,
                      const DistMultiVector<Scalar>& x,
-                     DistMultiVector<Scalar>& y, OpProfile* prof = nullptr) {
+                     DistMultiVector<Scalar>& y,
+                     const std::vector<IndexVector>* rows) {
   const HaloPlan& plan = *A.plan;
   const index_t w = x.width;
   FROSCH_CHECK(y.width == w, "dist_spmv_multi: width mismatch");
@@ -234,11 +244,15 @@ void dist_spmv_multi(comm::Communicator& comm, const DistCsrMatrix<Scalar>& A,
         auto& yl = y.vals[r];
         const auto& slot = plan.owned_slot[r];
         const size_t len = plan.cols[r].size();
-        const auto [b, e] = exec::chunk_range(Al.num_rows(), sub, task % sub);
+        const index_t* list = rows ? (*rows)[r].data() : nullptr;
+        const index_t nrows =
+            rows ? static_cast<index_t>((*rows)[r].size()) : Al.num_rows();
+        const auto [b, e] = exec::chunk_range(nrows, sub, task % sub);
         for (index_t c = 0; c < w; ++c) {
           const Scalar* xc = xl.data() + static_cast<size_t>(c) * len;
           Scalar* yc = yl.data() + static_cast<size_t>(c) * len;
-          for (index_t i = b; i < e; ++i) {
+          for (index_t q = b; q < e; ++q) {
+            const index_t i = list ? list[q] : q;
             Scalar sum(0);
             for (index_t k = Al.row_begin(i); k < Al.row_end(i); ++k)
               sum += Al.val(k) * xc[Al.col(k)];
@@ -247,13 +261,33 @@ void dist_spmv_multi(comm::Communicator& comm, const DistCsrMatrix<Scalar>& A,
         }
       },
       /*grain=*/1);
-  detail::charge_spmv_multi(comm, A, w, prof);
 }
 
-/// Overlapped block Y = A X: one posted import for the whole block hides
-/// behind the interior rows of every column, exactly as in the
-/// single-vector dist_spmv_overlapped; bitwise identical to halo_import +
-/// dist_spmv_multi, with identical compute accounting.
+}  // namespace detail
+
+/// Rank-sharded Y = A X over an ALREADY-IMPORTED block X (call halo_import
+/// first; DistCsrOperator in krylov/operator.hpp packages the sequence):
+/// one pass over each rank's local matrix serves every column, so the
+/// matrix is streamed once per block application instead of once per
+/// column.  Per-rank compute is recorded into the communicator's measured
+/// profiles; `prof` (optional) receives the aggregate, matching la::spmv's
+/// accounting at width 1.
+template <class Scalar>
+void dist_spmv_multi(comm::Communicator& comm, const DistCsrMatrix<Scalar>& A,
+                     const DistMultiVector<Scalar>& x,
+                     DistMultiVector<Scalar>& y, OpProfile* prof = nullptr) {
+  detail::spmv_multi_rows(comm, A, x, y, nullptr);
+  detail::charge_spmv_multi(comm, A, x.width, prof);
+}
+
+/// Overlapped Y = A X: posts the block's ghost import (copies land
+/// immediately, per the SimComm convention), computes the INTERIOR rows --
+/// which read no ghost column -- while the wire operation is pending, waits
+/// (charging the wire and the measured overlap window), then computes the
+/// BOUNDARY rows.  Because the split is by whole row and each row's
+/// summation schedule is unchanged, the result is bitwise identical to
+/// halo_import + dist_spmv_multi at every (backend, ranks, threads), with
+/// identical compute accounting.
 template <class Scalar>
 void dist_spmv_multi_overlapped(comm::Communicator& comm,
                                 const DistCsrMatrix<Scalar>& A,
@@ -262,212 +296,11 @@ void dist_spmv_multi_overlapped(comm::Communicator& comm,
                                 DistMultiVector<Scalar>& y,
                                 OpProfile* prof = nullptr) {
   const HaloPlan& plan = *A.plan;
-  const index_t w = x.width;
-  FROSCH_CHECK(y.width == w, "dist_spmv_multi_overlapped: width mismatch");
-  const exec::ExecPolicy& pol = comm.policy();
-  const int R = comm.size();
-  index_t sub = 1;
-  if (pol.parallel() && R < pol.threads)
-    sub = (pol.threads + static_cast<index_t>(R) - 1) / R;
-  auto run_rows = [&](const std::vector<IndexVector>& rows) {
-    exec::parallel_for(
-        pol, static_cast<index_t>(R) * sub,
-        [&](index_t task) {
-          const size_t r = static_cast<size_t>(task / sub);
-          const auto& Al = A.local[r];
-          const auto& xl = x.vals[r];
-          auto& yl = y.vals[r];
-          const auto& slot = plan.owned_slot[r];
-          const size_t len = plan.cols[r].size();
-          const auto& list = rows[r];
-          const auto [b, e] = exec::chunk_range(
-              static_cast<index_t>(list.size()), sub, task % sub);
-          for (index_t c = 0; c < w; ++c) {
-            const Scalar* xc = xl.data() + static_cast<size_t>(c) * len;
-            Scalar* yc = yl.data() + static_cast<size_t>(c) * len;
-            for (index_t q = b; q < e; ++q) {
-              const index_t i = list[q];
-              Scalar sum(0);
-              for (index_t k = Al.row_begin(i); k < Al.row_end(i); ++k)
-                sum += Al.val(k) * xc[Al.col(k)];
-              yc[slot[i]] = sum;
-            }
-          }
-        },
-        /*grain=*/1);
-  };
   auto pending = halo_import_async(comm, plan, msgs, x);
-  run_rows(plan.interior);
+  detail::spmv_multi_rows(comm, A, x, y, &plan.interior);
   pending.wait();
-  run_rows(plan.boundary);
-  detail::charge_spmv_multi(comm, A, w, prof);
-}
-
-/// One dot product x . y inside a fused batch.
-template <class Scalar>
-struct DotJob {
-  const std::vector<Scalar>* x = nullptr;
-  const std::vector<Scalar>* y = nullptr;
-};
-
-/// Fused batched dot products: every job's chunk partials are computed with
-/// the problem-size-only chunk grid and ALL jobs travel in ONE measured
-/// all-reduce (inactive context: folded locally in chunk order).  Job j's
-/// result depends only on job j's vectors -- the slot-ordered fold keeps
-/// each output bitwise identical to a solo dist_dot / dist_multi_dot of the
-/// same vectors, which is what makes block-width-1 Krylov solves bitwise
-/// identical to the single-vector path.
-template <class Scalar>
-void dist_fused_dots(const DistContext& d,
-                     const std::vector<DotJob<Scalar>>& jobs,
-                     std::vector<Scalar>& out, OpProfile* prof = nullptr,
-                     const exec::ExecPolicy& policy = {}) {
-  const size_t K = jobs.size();
-  out.assign(K, Scalar(0));
-  if (K == 0) return;
-  const index_t n = static_cast<index_t>(jobs[0].x->size());
-  for (const auto& jb : jobs) {
-    (void)jb;
-    FROSCH_ASSERT(static_cast<index_t>(jb.x->size()) == n &&
-                      static_cast<index_t>(jb.y->size()) == n,
-                  "dist_fused_dots: size mismatch");
-  }
-  const index_t nc = exec::chunk_count(n);
-  std::vector<Scalar> partial(static_cast<size_t>(nc) * K, Scalar(0));
-  exec::parallel_for(
-      policy, nc,
-      [&](index_t c) {
-        Scalar* pc = partial.data() + static_cast<size_t>(c) * K;
-        const auto [b, e] = exec::chunk_range(n, nc, c);
-        for (size_t j = 0; j < K; ++j) {
-          const Scalar* xj = jobs[j].x->data();
-          const Scalar* yj = jobs[j].y->data();
-          Scalar s(0);
-          for (index_t i = b; i < e; ++i) s += xj[i] * yj[i];
-          pc[j] = s;
-        }
-      },
-      /*grain=*/1);
-  if (d.active()) {
-    d.comm->allreduce_slots(partial.data(), nc, static_cast<int>(K),
-                            out.data());
-    detail::attribute_elementwise(d, 2.0 * static_cast<double>(K),
-                                  2.0 * static_cast<double>(K),
-                                  sizeof(Scalar));
-  } else {
-    // Shared-memory fold: chunk order, exactly la::dot / la::multi_dot.
-    for (index_t c = 0; c < nc; ++c)
-      for (size_t j = 0; j < K; ++j)
-        out[j] += partial[static_cast<size_t>(c) * K + j];
-  }
-  if (prof) {
-    prof->flops += 2.0 * static_cast<double>(K) * static_cast<double>(n);
-    prof->bytes +=
-        2.0 * static_cast<double>(K) * static_cast<double>(n) * sizeof(Scalar);
-    prof->launches += 1;
-    prof->critical_path += 1;
-    prof->work_items += static_cast<double>(n);
-    prof->reductions += 1;  // the whole batch travels in ONE all-reduce
-  }
-}
-
-/// One in-flight fused dot batch from dist_fused_dots_async.  Holds the
-/// communicator's pending reduce (inert for an inactive context, where the
-/// results were already folded locally at post); wait() delivers the
-/// results into the output vector passed at post time and charges the wire
-/// event.  Exactly one wait() per pending batch.
-template <class Scalar>
-class PendingDots {
- public:
-  PendingDots() = default;
-  void wait() {
-    FROSCH_CHECK(!waited_,
-                 "PendingDots::wait: already completed (one wait per post)");
-    waited_ = true;
-    red_.wait();
-  }
-  bool done() const { return waited_; }
-
- private:
-  template <class S>
-  friend PendingDots<S> dist_fused_dots_async(
-      const DistContext&, const std::vector<DotJob<S>>&, std::vector<S>&,
-      OpProfile*, const exec::ExecPolicy&);
-
-  comm::PendingReduce<Scalar> red_;  ///< inert when the context is inactive
-  bool waited_ = false;
-};
-
-/// Nonblocking dist_fused_dots: the chunk partials are computed and (for an
-/// active context) the slot-order fold is taken at POST -- the pipelined
-/// Krylov contract that lets the caller overlap the next operator
-/// application with the all-reduce in flight -- while wait() delivers the
-/// results into `out` and charges the wire event (counted in both the
-/// reduction total and its async ov_ twin, window measured per rank).
-/// `out` must not be resized between post and wait.  Inactive context:
-/// folded locally in chunk order at post (bitwise identical to
-/// dist_fused_dots), wait() is an inert no-op.  The aggregate `prof`
-/// charges at post, marking the reduce async via ov_reductions, so the
-/// one-async-all-reduce-per-iteration assertion holds at every rank count.
-template <class Scalar>
-PendingDots<Scalar> dist_fused_dots_async(
-    const DistContext& d, const std::vector<DotJob<Scalar>>& jobs,
-    std::vector<Scalar>& out, OpProfile* prof = nullptr,
-    const exec::ExecPolicy& policy = {}) {
-  PendingDots<Scalar> pending;
-  const size_t K = jobs.size();
-  out.assign(K, Scalar(0));
-  if (K == 0) {
-    pending.waited_ = true;
-    return pending;
-  }
-  const index_t n = static_cast<index_t>(jobs[0].x->size());
-  for (const auto& jb : jobs) {
-    (void)jb;
-    FROSCH_ASSERT(static_cast<index_t>(jb.x->size()) == n &&
-                      static_cast<index_t>(jb.y->size()) == n,
-                  "dist_fused_dots_async: size mismatch");
-  }
-  const index_t nc = exec::chunk_count(n);
-  std::vector<Scalar> partial(static_cast<size_t>(nc) * K, Scalar(0));
-  exec::parallel_for(
-      policy, nc,
-      [&](index_t c) {
-        Scalar* pc = partial.data() + static_cast<size_t>(c) * K;
-        const auto [b, e] = exec::chunk_range(n, nc, c);
-        for (size_t j = 0; j < K; ++j) {
-          const Scalar* xj = jobs[j].x->data();
-          const Scalar* yj = jobs[j].y->data();
-          Scalar s(0);
-          for (index_t i = b; i < e; ++i) s += xj[i] * yj[i];
-          pc[j] = s;
-        }
-      },
-      /*grain=*/1);
-  if (d.active()) {
-    pending.red_ = d.comm->allreduce_slots_async(partial.data(), nc,
-                                                 static_cast<int>(K),
-                                                 out.data());
-    detail::attribute_elementwise(d, 2.0 * static_cast<double>(K),
-                                  2.0 * static_cast<double>(K),
-                                  sizeof(Scalar));
-  } else {
-    // Shared-memory fold: chunk order, exactly dist_fused_dots.
-    for (index_t c = 0; c < nc; ++c)
-      for (size_t j = 0; j < K; ++j)
-        out[j] += partial[static_cast<size_t>(c) * K + j];
-  }
-  if (prof) {
-    prof->flops += 2.0 * static_cast<double>(K) * static_cast<double>(n);
-    prof->bytes +=
-        2.0 * static_cast<double>(K) * static_cast<double>(n) * sizeof(Scalar);
-    prof->launches += 1;
-    prof->critical_path += 1;
-    prof->work_items += static_cast<double>(n);
-    prof->reductions += 1;     // one wire all-reduce for the whole batch...
-    prof->ov_reductions += 1;  // ...posted ASYNC (the pipelined contract)
-  }
-  return pending;
+  detail::spmv_multi_rows(comm, A, x, y, &plan.boundary);
+  detail::charge_spmv_multi(comm, A, x.width, prof);
 }
 
 }  // namespace frosch::la

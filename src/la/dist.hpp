@@ -5,16 +5,18 @@
 //                   matrix: which global ids each rank owns, which it must
 //                   import, and the exact point-to-point messages (with
 //                   their payloads) a ghost exchange moves.
-//   DistVector      per-rank packed storage over a rank's local column
-//                   space (owned + ghost ids).
 //   DistCsrMatrix   per-rank local CSR of the rank's OWNED rows with
-//                   columns renumbered into its local column space.
-//   dist_spmv       y = A x with a REAL ghost import: the halo payload is
-//                   measured from the scalars actually copied.
-//   dist_dot / dist_multi_dot / dist_norm2 / dist_axpy / dist_scale
-//                   Krylov vector kernels on replicated vectors, sharded by
-//                   rank for attribution, reductions routed through
-//                   Communicator::allreduce_slots as measured events.
+//                   columns renumbered into its local column space (the
+//                   SpMV over it, with its REAL ghost import, is
+//                   dist_spmv_multi in la/block.hpp, at any width).
+//   dist_fused_dots any list of dot products fused into ONE measured
+//                   all-reduce; dist_dot / dist_multi_dot / dist_norm2 are
+//                   batches of it.
+//   dist_axpy / dist_scale
+//                   elementwise Krylov vector kernels.  All of these work on
+//                   replicated vectors, sharded by rank for attribution,
+//                   reductions routed through Communicator::allreduce_slots
+//                   as measured events.
 //
 // Determinism (DESIGN.md section 7).  Two representation choices make every
 // distributed result BITWISE identical to the shared-memory path at every
@@ -36,8 +38,9 @@
 // the determinism contract extend across rank counts.
 #pragma once
 
-#include <array>
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "comm/comm.hpp"
 #include "device/arena.hpp"
@@ -76,7 +79,7 @@ struct HaloPlan {
   /// dependence.  A row is *boundary* iff it references any ghost column
   /// (a column owned by another rank); interior rows read only owned data
   /// and can be computed while the ghost import is in flight
-  /// (dist_spmv_overlapped).  The split is by WHOLE row, so each row's
+  /// (dist_spmv_multi_overlapped).  The split is by WHOLE row, so each row's
   /// summation schedule -- and hence the bitwise determinism contract --
   /// is untouched.
   std::vector<IndexVector> interior;
@@ -243,101 +246,6 @@ HaloPlan build_halo_plan(const CsrMatrix<Scalar>& A, const IndexVector& rank_of,
   return plan;
 }
 
-/// Per-rank packed vector over the plan's local column spaces.  Owned
-/// entries live at owned_slot positions; ghost slots are filled by
-/// halo_import.
-template <class Scalar>
-struct DistVector {
-  const HaloPlan* plan = nullptr;
-  std::vector<std::vector<Scalar>> vals;  ///< per rank, cols[r].size() entries
-
-  DistVector() = default;
-  explicit DistVector(const HaloPlan& p) { init(p); }
-
-  void init(const HaloPlan& p) {
-    plan = &p;
-    vals.assign(static_cast<size_t>(p.nranks), {});
-    for (int r = 0; r < p.nranks; ++r)
-      vals[static_cast<size_t>(r)].assign(p.cols[static_cast<size_t>(r)].size(),
-                                          Scalar(0));
-  }
-
-  /// Copies each rank's OWNED entries out of the replicated global vector
-  /// (bookkeeping, not communication: owned data never crosses ranks).
-  void scatter_owned(const std::vector<Scalar>& x,
-                     const exec::ExecPolicy& policy = {}) {
-    exec::parallel_for(
-        policy, plan->nranks,
-        [&](index_t r) {
-          const auto& own = plan->owned[static_cast<size_t>(r)];
-          const auto& slot = plan->owned_slot[static_cast<size_t>(r)];
-          auto& v = vals[static_cast<size_t>(r)];
-          for (size_t q = 0; q < own.size(); ++q) v[slot[q]] = x[own[q]];
-        },
-        /*grain=*/1);
-  }
-
-  /// Writes each rank's OWNED entries back into the replicated global
-  /// vector (disjoint writes; bookkeeping, not communication).
-  void gather_owned(std::vector<Scalar>& x,
-                    const exec::ExecPolicy& policy = {}) const {
-    x.resize(static_cast<size_t>(plan->n));
-    exec::parallel_for(
-        policy, plan->nranks,
-        [&](index_t r) {
-          const auto& own = plan->owned[static_cast<size_t>(r)];
-          const auto& slot = plan->owned_slot[static_cast<size_t>(r)];
-          const auto& v = vals[static_cast<size_t>(r)];
-          for (size_t q = 0; q < own.size(); ++q) x[own[q]] = v[slot[q]];
-        },
-        /*grain=*/1);
-  }
-};
-
-/// The REAL ghost exchange: moves every transfer's scalars from the owning
-/// rank's storage into the destination rank's ghost slots through the
-/// communicator, which records one message + the measured payload per
-/// transfer on the importing rank.  `msgs` must be plan.messages(sizeof(
-/// Scalar)) -- callers on the Krylov hot path cache it (DistCsrOperator).
-template <class Scalar>
-void halo_import(comm::Communicator& comm, const HaloPlan& plan,
-                 const std::vector<comm::Message>& msgs,
-                 DistVector<Scalar>& x) {
-  comm.exchange(msgs, [&](size_t m) {
-    const auto& t = plan.transfers[m];
-    const auto& src = x.vals[static_cast<size_t>(t.src)];
-    auto& dst = x.vals[static_cast<size_t>(t.dst)];
-    for (size_t q = 0; q < t.ids.size(); ++q)
-      dst[t.dst_slots[q]] = src[t.src_slots[q]];
-  });
-}
-
-template <class Scalar>
-void halo_import(comm::Communicator& comm, const HaloPlan& plan,
-                 DistVector<Scalar>& x) {
-  halo_import(comm, plan, plan.messages(sizeof(Scalar)), x);
-}
-
-/// Nonblocking ghost exchange: the scalar copies happen NOW (so ghost
-/// slots hold their final values and results stay bitwise identical to
-/// halo_import), the wire charging and the measured overlap window happen
-/// at the returned handle's wait().  Between post and wait the caller may
-/// compute anything that does not read x's ghost slots -- the interior
-/// rows of dist_spmv_overlapped.
-template <class Scalar>
-comm::PendingExchange halo_import_async(comm::Communicator& comm,
-                                        const HaloPlan& plan,
-                                        const std::vector<comm::Message>& msgs,
-                                        DistVector<Scalar>& x) {
-  return comm.exchange_async(msgs, [&](size_t m) {
-    const auto& t = plan.transfers[m];
-    const auto& src = x.vals[static_cast<size_t>(t.src)];
-    auto& dst = x.vals[static_cast<size_t>(t.dst)];
-    for (size_t q = 0; q < t.ids.size(); ++q)
-      dst[t.dst_slots[q]] = src[t.src_slots[q]];
-  });
-}
-
 /// Per-rank local CSR: rank r's owned rows (ascending global id) with
 /// columns renumbered into its local column space.  Because local col ids
 /// ascend with global ids, each local row preserves the global row's entry
@@ -447,154 +355,6 @@ struct DistCsrMatrix {
   }
 };
 
-namespace detail {
-
-/// One accounting formula for both the per-rank and aggregate SpMV views:
-/// each rank's local kernel.
-template <class Scalar>
-OpProfile spmv_local_profile(const CsrMatrix<Scalar>& Al) {
-  OpProfile p;
-  p.flops = 2.0 * static_cast<double>(Al.num_entries());
-  p.bytes = Al.storage_bytes() +
-            static_cast<double>(Al.num_rows() + Al.num_cols()) *
-                sizeof(Scalar);
-  p.launches = 1;
-  p.critical_path = 1;
-  p.work_items = static_cast<double>(Al.num_rows());
-  return p;
-}
-
-/// The shared charging of dist_spmv and dist_spmv_overlapped: identical BY
-/// DESIGN, so the two paths' compute profiles (and hence modeled compute
-/// times) are indistinguishable -- the overlapped path's benefit enters
-/// solely through the comm-side ov_/window fields its wait() records.  The
-/// interior/boundary pass split is a host-side scheduling detail below the
-/// launch-accounting granularity.
-template <class Scalar>
-void charge_spmv(comm::Communicator& comm, const DistCsrMatrix<Scalar>& A,
-                 OpProfile* prof) {
-  device::DeviceArena* arena = device::arena_of(comm.policy());
-  for (int r = 0; r < comm.size(); ++r) {
-    const auto& Al = A.local[static_cast<size_t>(r)];
-    comm.prof(r) += spmv_local_profile(Al);
-    if (arena != nullptr) {
-      // The SpMV kernel reads the rank's local matrix on the device: a
-      // stale mirror measures the staging it forces; the steady state of a
-      // Krylov loop is a no-op here (the matrix was staged at setup).
-      if (Al.num_entries() > 0)
-        arena->to_device(r, Al.values().data(), Al.storage_bytes(),
-                         device::Xfer::Matrix);
-      arena->launch(r, 1);
-    }
-  }
-  if (prof) {
-    // Aggregate view: the per-rank shares summed, as ONE bulk-synchronous
-    // launch (matching la::spmv's whole-matrix accounting).
-    OpProfile agg;
-    for (const auto& Al : A.local) {
-      OpProfile p = spmv_local_profile(Al);
-      agg.flops += p.flops;
-      agg.bytes += p.bytes;
-      agg.work_items += p.work_items;
-    }
-    agg.launches = 1;
-    agg.critical_path = 1;
-    *prof += agg;
-  }
-}
-
-}  // namespace detail
-
-/// Rank-sharded y = A x over an ALREADY-IMPORTED x (call halo_import
-/// first; DistCsrOperator in krylov/operator.hpp packages the sequence).
-/// Writes each rank's owned result entries into y's owned slots.  Per-rank
-/// compute is recorded into the communicator's measured profiles; `prof`
-/// (optional) receives the aggregate, matching la::spmv's accounting.
-template <class Scalar>
-void dist_spmv(comm::Communicator& comm, const DistCsrMatrix<Scalar>& A,
-               const DistVector<Scalar>& x, DistVector<Scalar>& y,
-               OpProfile* prof = nullptr) {
-  const HaloPlan& plan = *A.plan;
-  // Row tasks: `sub` row-chunks per rank so the pool stays busy when there
-  // are fewer virtual ranks than threads (per-row results are independent
-  // of the chunking, so this cannot perturb the bitwise contract).
-  const exec::ExecPolicy& pol = comm.policy();
-  const int R = comm.size();
-  index_t sub = 1;
-  if (pol.parallel() && R < pol.threads)
-    sub = (pol.threads + static_cast<index_t>(R) - 1) / R;
-  exec::parallel_for(
-      pol, static_cast<index_t>(R) * sub,
-      [&](index_t task) {
-        const size_t r = static_cast<size_t>(task / sub);
-        const auto& Al = A.local[r];
-        const auto& xl = x.vals[r];
-        auto& yl = y.vals[r];
-        const auto& slot = plan.owned_slot[r];
-        const auto [b, e] = exec::chunk_range(Al.num_rows(), sub, task % sub);
-        for (index_t i = b; i < e; ++i) {
-          Scalar sum(0);
-          for (index_t k = Al.row_begin(i); k < Al.row_end(i); ++k)
-            sum += Al.val(k) * xl[Al.col(k)];
-          yl[slot[i]] = sum;
-        }
-      },
-      /*grain=*/1);
-  detail::charge_spmv(comm, A, prof);
-}
-
-/// Overlapped y = A x: posts the ghost import (copies land immediately,
-/// per the SimComm convention), computes the INTERIOR rows -- which read
-/// no ghost column -- while the wire operation is pending, waits (charging
-/// the wire and the measured overlap window), then computes the BOUNDARY
-/// rows.  Because the split is by whole row and each row's summation
-/// schedule is unchanged, the result is bitwise identical to halo_import +
-/// dist_spmv at every (backend, ranks, threads); the compute accounting is
-/// identical too (see detail::charge_spmv), so the two paths differ only
-/// in the ov_/window fields of the comm profiles.
-template <class Scalar>
-void dist_spmv_overlapped(comm::Communicator& comm,
-                          const DistCsrMatrix<Scalar>& A,
-                          const std::vector<comm::Message>& msgs,
-                          DistVector<Scalar>& x, DistVector<Scalar>& y,
-                          OpProfile* prof = nullptr) {
-  const HaloPlan& plan = *A.plan;
-  const exec::ExecPolicy& pol = comm.policy();
-  const int R = comm.size();
-  index_t sub = 1;
-  if (pol.parallel() && R < pol.threads)
-    sub = (pol.threads + static_cast<index_t>(R) - 1) / R;
-  // Same row kernel as dist_spmv, driven by a per-rank row LIST instead of
-  // the full row range (list chunking cannot perturb per-row sums).
-  auto run_rows = [&](const std::vector<IndexVector>& rows) {
-    exec::parallel_for(
-        pol, static_cast<index_t>(R) * sub,
-        [&](index_t task) {
-          const size_t r = static_cast<size_t>(task / sub);
-          const auto& Al = A.local[r];
-          const auto& xl = x.vals[r];
-          auto& yl = y.vals[r];
-          const auto& slot = plan.owned_slot[r];
-          const auto& list = rows[r];
-          const auto [b, e] = exec::chunk_range(
-              static_cast<index_t>(list.size()), sub, task % sub);
-          for (index_t q = b; q < e; ++q) {
-            const index_t i = list[q];
-            Scalar sum(0);
-            for (index_t k = Al.row_begin(i); k < Al.row_end(i); ++k)
-              sum += Al.val(k) * xl[Al.col(k)];
-            yl[slot[i]] = sum;
-          }
-        },
-        /*grain=*/1);
-  };
-  auto pending = halo_import_async(comm, plan, msgs, x);
-  run_rows(plan.interior);
-  pending.wait();
-  run_rows(plan.boundary);
-  detail::charge_spmv(comm, A, prof);
-}
-
 // ---------------------------------------------------------------------------
 // Distributed Krylov vector kernels.
 //
@@ -608,7 +368,8 @@ void dist_spmv_overlapped(comm::Communicator& comm,
 
 /// Ties a communicator to the row-distribution plan the Krylov kernels
 /// attribute by.  A default-constructed (inactive) context makes every
-/// dist_* kernel fall through to its shared-memory twin.
+/// dist_* kernel run shared-memory: reductions fold their chunk partials
+/// locally, elementwise kernels fall through to la::axpy / la::scale.
 struct DistContext {
   comm::Communicator* comm = nullptr;
   const HaloPlan* plan = nullptr;
@@ -638,38 +399,190 @@ inline void attribute_elementwise(const DistContext& d, double flops_per_elem,
 
 }  // namespace detail
 
-/// Distributed dot product: the global chunk partials are computed in
-/// parallel, then folded in chunk order through ONE measured all-reduce.
+/// One dot product x . y inside a fused batch.
+template <class Scalar>
+struct DotJob {
+  const std::vector<Scalar>* x = nullptr;
+  const std::vector<Scalar>* y = nullptr;
+};
+
+namespace detail {
+
+/// The one chunked-partials kernel behind every distributed dot product:
+/// job j's partial sum over chunk c of the problem-size-only chunk grid
+/// lands in partial[c * K + j].  Returns the chunk count.
+template <class Scalar>
+index_t dot_partials(const std::vector<DotJob<Scalar>>& jobs,
+                     std::vector<Scalar>& partial,
+                     const exec::ExecPolicy& policy) {
+  const size_t K = jobs.size();
+  const index_t n = static_cast<index_t>(jobs[0].x->size());
+  for (const auto& jb : jobs) {
+    (void)jb;
+    FROSCH_ASSERT(static_cast<index_t>(jb.x->size()) == n &&
+                      static_cast<index_t>(jb.y->size()) == n,
+                  "dist dot kernels: size mismatch");
+  }
+  const index_t nc = exec::chunk_count(n);
+  partial.assign(static_cast<size_t>(nc) * K, Scalar(0));
+  exec::parallel_for(
+      policy, nc,
+      [&](index_t c) {
+        Scalar* pc = partial.data() + static_cast<size_t>(c) * K;
+        const auto [b, e] = exec::chunk_range(n, nc, c);
+        for (size_t j = 0; j < K; ++j) {
+          const Scalar* xj = jobs[j].x->data();
+          const Scalar* yj = jobs[j].y->data();
+          Scalar s(0);
+          for (index_t i = b; i < e; ++i) s += xj[i] * yj[i];
+          pc[j] = s;
+        }
+      },
+      /*grain=*/1);
+  return nc;
+}
+
+/// Shared-memory fold of an inactive context: chunk order, exactly
+/// la::dot / la::multi_dot.
+template <class Scalar>
+void fold_partials(const std::vector<Scalar>& partial, index_t nc,
+                   std::vector<Scalar>& out) {
+  const size_t K = out.size();
+  for (index_t c = 0; c < nc; ++c)
+    for (size_t j = 0; j < K; ++j)
+      out[j] += partial[static_cast<size_t>(c) * K + j];
+}
+
+/// The charging rule of a fused dot batch: two flops per element per job,
+/// and bytes (and each rank's attributed vectors) for every x plus every
+/// DISTINCT y -- a basis projected against one w streams w once.  So K
+/// projections against w charge the bytes of dist_multi_dot, and a block
+/// of columns charges the sum of its columns' solo bytes.  The batch is
+/// one launch and one reduction.
+template <class Scalar>
+void charge_dots(const DistContext& d, const std::vector<DotJob<Scalar>>& jobs,
+                 OpProfile* prof, const exec::ExecPolicy& policy) {
+  std::vector<const std::vector<Scalar>*> ys(jobs.size());
+  for (size_t j = 0; j < jobs.size(); ++j) ys[j] = jobs[j].y;
+  std::sort(ys.begin(), ys.end());
+  const double k = static_cast<double>(jobs.size());
+  const double vecs =
+      k + static_cast<double>(std::unique(ys.begin(), ys.end()) - ys.begin());
+  const double n = static_cast<double>(jobs[0].x->size());
+  if (d.active()) {
+    attribute_elementwise(d, 2.0 * k, vecs, sizeof(Scalar));
+  } else {
+    device::launches(policy, 1);
+  }
+  if (prof) {
+    prof->flops += 2.0 * k * n;
+    prof->bytes += vecs * n * sizeof(Scalar);
+    prof->launches += 1;
+    prof->critical_path += 1;
+    prof->work_items += n;
+    prof->reductions += 1;  // the whole batch travels in ONE all-reduce
+  }
+}
+
+}  // namespace detail
+
+/// Fused batched dot products: every job's chunk partials are computed with
+/// the problem-size-only chunk grid and ALL jobs travel in ONE measured
+/// all-reduce (inactive context: folded locally in chunk order).  Job j's
+/// result depends only on job j's vectors -- the slot-ordered fold keeps
+/// each output bitwise identical to a solo dot of the same vectors, which
+/// is what makes a column of a block Krylov solve independent of the
+/// other columns.
+template <class Scalar>
+void dist_fused_dots(const DistContext& d,
+                     const std::vector<DotJob<Scalar>>& jobs,
+                     std::vector<Scalar>& out, OpProfile* prof = nullptr,
+                     const exec::ExecPolicy& policy = {}) {
+  out.assign(jobs.size(), Scalar(0));
+  if (jobs.empty()) return;
+  std::vector<Scalar> partial;
+  const index_t nc = detail::dot_partials(jobs, partial, policy);
+  if (d.active()) {
+    d.comm->allreduce_slots(partial.data(), nc, static_cast<int>(jobs.size()),
+                            out.data());
+  } else {
+    detail::fold_partials(partial, nc, out);
+  }
+  detail::charge_dots(d, jobs, prof, policy);
+}
+
+/// One in-flight fused dot batch from dist_fused_dots_async.  Holds the
+/// communicator's pending reduce (inert for an inactive context, where the
+/// results were already folded locally at post); wait() delivers the
+/// results into the output vector passed at post time and charges the wire
+/// event.  Exactly one wait() per pending batch.
+template <class Scalar>
+class PendingDots {
+ public:
+  PendingDots() = default;
+  void wait() {
+    FROSCH_CHECK(!waited_,
+                 "PendingDots::wait: already completed (one wait per post)");
+    waited_ = true;
+    red_.wait();
+  }
+  bool done() const { return waited_; }
+
+ private:
+  template <class S>
+  friend PendingDots<S> dist_fused_dots_async(
+      const DistContext&, const std::vector<DotJob<S>>&, std::vector<S>&,
+      OpProfile*, const exec::ExecPolicy&);
+
+  comm::PendingReduce<Scalar> red_;  ///< inert when the context is inactive
+  bool waited_ = false;
+};
+
+/// Nonblocking dist_fused_dots: the chunk partials are computed and (for an
+/// active context) the slot-order fold is taken at POST -- the pipelined
+/// Krylov contract that lets the caller overlap the next operator
+/// application with the all-reduce in flight -- while wait() delivers the
+/// results into `out` and charges the wire event (counted in both the
+/// reduction total and its async ov_ twin, window measured per rank).
+/// `out` must not be resized between post and wait.  Inactive context:
+/// folded locally in chunk order at post (bitwise identical to
+/// dist_fused_dots), wait() is an inert no-op.  The aggregate `prof`
+/// charges at post, marking the reduce async via ov_reductions, so the
+/// one-async-all-reduce-per-iteration assertion holds at every rank count.
+template <class Scalar>
+PendingDots<Scalar> dist_fused_dots_async(
+    const DistContext& d, const std::vector<DotJob<Scalar>>& jobs,
+    std::vector<Scalar>& out, OpProfile* prof = nullptr,
+    const exec::ExecPolicy& policy = {}) {
+  PendingDots<Scalar> pending;
+  out.assign(jobs.size(), Scalar(0));
+  if (jobs.empty()) {
+    pending.waited_ = true;
+    return pending;
+  }
+  std::vector<Scalar> partial;
+  const index_t nc = detail::dot_partials(jobs, partial, policy);
+  if (d.active()) {
+    pending.red_ = d.comm->allreduce_slots_async(
+        partial.data(), nc, static_cast<int>(jobs.size()), out.data());
+  } else {
+    detail::fold_partials(partial, nc, out);
+  }
+  detail::charge_dots(d, jobs, prof, policy);
+  if (prof) prof->ov_reductions += 1;  // ...posted ASYNC (pipelined contract)
+  return pending;
+}
+
+/// Distributed dot product: one job of the fused kernel, ONE measured
+/// all-reduce.
 template <class Scalar>
 Scalar dist_dot(const DistContext& d, const std::vector<Scalar>& x,
                 const std::vector<Scalar>& y, OpProfile* prof = nullptr,
                 const exec::ExecPolicy& policy = {}) {
-  if (!d.active()) return dot(x, y, prof, policy);
-  FROSCH_ASSERT(x.size() == y.size(), "dist_dot: size mismatch");
-  const index_t n = static_cast<index_t>(x.size());
-  const index_t nc = exec::chunk_count(n);
-  std::array<Scalar, exec::kMaxChunks> partial;
-  exec::parallel_for(
-      policy, nc,
-      [&](index_t c) {
-        const auto [b, e] = exec::chunk_range(n, nc, c);
-        Scalar s(0);
-        for (index_t i = b; i < e; ++i) s += x[i] * y[i];
-        partial[static_cast<size_t>(c)] = s;
-      },
-      /*grain=*/1);
-  Scalar out(0);
-  d.comm->allreduce_slots(partial.data(), nc, 1, &out);
-  detail::attribute_elementwise(d, 2.0, 2.0, sizeof(Scalar));
-  if (prof) {
-    prof->flops += 2.0 * static_cast<double>(n);
-    prof->bytes += 2.0 * static_cast<double>(n) * sizeof(Scalar);
-    prof->launches += 1;
-    prof->critical_path += 1;
-    prof->work_items += static_cast<double>(n);
-    prof->reductions += 1;
-  }
-  return out;
+  std::vector<Scalar> out;
+  dist_fused_dots(d, std::vector<DotJob<Scalar>>(1, {&x, &y}), out, prof,
+                  policy);
+  return out[0];
 }
 
 template <class Scalar>
@@ -688,42 +601,9 @@ void dist_multi_dot(const DistContext& d,
                     const std::vector<Scalar>& w, std::vector<Scalar>& out,
                     OpProfile* prof = nullptr,
                     const exec::ExecPolicy& policy = {}) {
-  if (!d.active()) {
-    multi_dot(vs, w, out, prof, policy);
-    return;
-  }
-  const size_t k = vs.size();
-  for (size_t j = 0; j < k; ++j)
-    FROSCH_ASSERT(vs[j].size() == w.size(), "dist_multi_dot: size mismatch");
-  const index_t n = static_cast<index_t>(w.size());
-  const index_t nc = exec::chunk_count(n);
-  std::vector<Scalar> partial(static_cast<size_t>(nc) * k, Scalar(0));
-  exec::parallel_for(
-      policy, nc,
-      [&](index_t c) {
-        Scalar* pc = partial.data() + static_cast<size_t>(c) * k;
-        const auto [b, e] = exec::chunk_range(n, nc, c);
-        for (size_t j = 0; j < k; ++j) {
-          const Scalar* vj = vs[j].data();
-          Scalar s(0);
-          for (index_t i = b; i < e; ++i) s += vj[i] * w[i];
-          pc[j] = s;
-        }
-      },
-      /*grain=*/1);
-  out.assign(k, Scalar(0));
-  d.comm->allreduce_slots(partial.data(), nc, static_cast<int>(k), out.data());
-  detail::attribute_elementwise(d, 2.0 * static_cast<double>(k),
-                                static_cast<double>(k) + 1.0, sizeof(Scalar));
-  if (prof) {
-    prof->flops += 2.0 * static_cast<double>(k) * static_cast<double>(n);
-    prof->bytes += (static_cast<double>(k) + 1.0) * static_cast<double>(n) *
-                   sizeof(Scalar);
-    prof->launches += 1;
-    prof->critical_path += 1;
-    prof->work_items += static_cast<double>(n);
-    prof->reductions += 1;  // all k partial sums travel in ONE all-reduce
-  }
+  std::vector<DotJob<Scalar>> jobs(vs.size());
+  for (size_t j = 0; j < vs.size(); ++j) jobs[j] = {&vs[j], &w};
+  dist_fused_dots(d, jobs, out, prof, policy);
 }
 
 /// Distributed axpy: elementwise (no communication), each rank charged its

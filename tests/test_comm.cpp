@@ -545,6 +545,66 @@ TEST(DistKernels, DotAndMultiDotBitwiseAcrossRanksAndThreads) {
   }
 }
 
+TEST(DistKernels, FusedDotsChargeEveryXPlusEachDistinctY) {
+  // The fused-dot charging rule: bytes and attributed vectors count every x
+  // plus every DISTINCT y.  Jobs {a,w},{b,w},{w,w} are dist_multi_dot of
+  // {a,b,w} against w, and charge exactly what it charges, in the aggregate
+  // and on every rank -- for the blocking and the async batch alike.
+  const index_t n = 3000;
+  const auto a = random_vector(n, 6);
+  const auto b = random_vector(n, 7);
+  const auto w = random_vector(n, 8);
+  auto A = tridiag(n);
+  const int R = 4;
+  const auto plan = la::build_halo_plan(A, scattered_ranks(n, R), R);
+  const std::vector<la::DotJob<double>> jobs = {{&a, &w}, {&b, &w}, {&w, &w}};
+  const double elem = sizeof(double);
+
+  comm::SimComm cm(R);
+  la::DistContext dm{&cm, &plan};
+  OpProfile pm;
+  std::vector<double> vm;
+  la::dist_multi_dot(dm, {a, b, w}, w, vm, &pm);
+  EXPECT_EQ(pm.flops, 2.0 * 3.0 * n);
+  EXPECT_EQ(pm.bytes, (3.0 + 1.0) * n * elem);
+  EXPECT_EQ(pm.reductions, 1);
+
+  for (bool async : {false, true}) {
+    comm::SimComm cf(R);
+    la::DistContext df{&cf, &plan};
+    OpProfile pf;
+    std::vector<double> vf;
+    if (async) {
+      la::dist_fused_dots_async(df, jobs, vf, &pf).wait();
+    } else {
+      la::dist_fused_dots(df, jobs, vf, &pf);
+    }
+    const std::string what = async ? "async" : "blocking";
+    EXPECT_EQ(vf, vm) << what;
+    EXPECT_EQ(pf.flops, pm.flops) << what;
+    EXPECT_EQ(pf.bytes, pm.bytes) << what;
+    EXPECT_EQ(pf.reductions, pm.reductions) << what;
+    EXPECT_EQ(pf.ov_reductions, async ? 1 : 0) << what;
+    for (int r = 0; r < R; ++r) {
+      EXPECT_EQ(cf.prof(r).flops, cm.prof(r).flops) << what << " rank " << r;
+      EXPECT_EQ(cf.prof(r).bytes, cm.prof(r).bytes) << what << " rank " << r;
+      EXPECT_EQ(cf.prof(r).reductions, cm.prof(r).reductions) << what;
+    }
+  }
+
+  // Two columns' batches fused into one charge the sum of their solo
+  // bytes: each column's w is streamed once.
+  const std::vector<la::DotJob<double>> two = {
+      {&a, &w}, {&w, &w}, {&b, &b}, {&w, &b}};
+  comm::SimComm c2(R);
+  la::DistContext d2{&c2, &plan};
+  OpProfile p2;
+  std::vector<double> v2;
+  la::dist_fused_dots(d2, two, v2, &p2);
+  EXPECT_EQ(p2.bytes, ((2.0 + 1.0) + (2.0 + 1.0)) * n * elem);
+  EXPECT_EQ(p2.reductions, 1);
+}
+
 // ---------------------------------------------------------------------------
 // Whole-solver determinism: the facade (rank-sharded operator, measured
 // reductions, Schwarz overlap halos) against the hand-wired shared-memory
@@ -693,6 +753,32 @@ TEST(DistGmres, MgsRecordsManyMoreAllreducesThanSingleReduce) {
   // MGS pays j+2 all-reduces at Arnoldi step j; single-reduce pays one.
   EXPECT_GT(gmres_side_reductions(rep_mgs, 0),
             2 * gmres_side_reductions(rep_sr, 0));
+}
+
+TEST(DistGmres, MgsAndCgs2BitwiseAcrossRanksAndThreads) {
+  // The width-dependent orthogonalizations (bench_ablation_ortho's MGS and
+  // CGS2) converge to pinned counts over several restart cycles, and their
+  // trajectories are bitwise identical to the hand-wired shared-memory path
+  // at every (ranks, threads).
+  auto p = test::laplace_problem(8, 2, 2, 1);
+  const std::pair<krylov::OrthoKind, index_t> pins[] = {
+      {krylov::OrthoKind::MGS, 22}, {krylov::OrthoKind::CGS2, 22}};
+  for (const auto& [kind, iters] : pins) {
+    SolverConfig cfg;
+    cfg.krylov.ortho = kind;
+    cfg.krylov.restart = 6;
+    const Trajectory ref = reference_run(p, cfg);
+    EXPECT_EQ(ref.iterations, iters) << krylov::to_string(kind);
+    for (index_t R : {1, 4}) {
+      for (index_t T : {1, 4}) {
+        const Trajectory got = facade_run(p, cfg, R, T);
+        expect_bitwise_equal(got, ref,
+                             std::string(krylov::to_string(kind)) +
+                                 " ranks=" + std::to_string(R) +
+                                 " threads=" + std::to_string(T));
+      }
+    }
+  }
 }
 
 TEST(Report, PerRankProfilesAndImbalance) {

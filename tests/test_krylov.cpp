@@ -503,13 +503,70 @@ TEST(BlockGmres, HonorsPerColumnInitialGuessContract) {
 }
 
 TEST(BlockGmres, RejectsWidthDependentOrthogonalizations) {
+  // MGS and CGS2 run at width 1 only (gmres() itself is a width-1
+  // block_gmres); a wider block must refuse them.
   auto A = laplace2d(6, 6);
   CsrOperator<double> op(A);
-  std::vector<std::vector<double>> B{random_vector(A.num_rows(), 5)}, X;
+  std::vector<std::vector<double>> B{random_vector(A.num_rows(), 5),
+                                     random_vector(A.num_rows(), 6)},
+      X;
   for (OrthoKind k : {OrthoKind::MGS, OrthoKind::CGS2}) {
     GmresOptions opts;
     opts.ortho = k;
     EXPECT_THROW(block_gmres<double>(op, nullptr, B, X, opts), Error);
+  }
+}
+
+TEST(BlockSolvers, ZeroIterationCapTakesNoStep) {
+  // max_iters = 0 is a cap SolverConfig accepts: the solve reports the
+  // initial residual and takes no step -- a zero guess stays zero and a
+  // warm start stays untouched, at every width and for both methods.
+  auto A = laplace2d(8, 8);
+  CsrOperator<double> op(A);
+  const index_t n = A.num_rows();
+  const auto b = random_vector(n, 12);
+  const auto warm = random_vector(n, 13);
+  GmresOptions gopts;
+  gopts.max_iters = 0;
+  CgOptions copts;
+  copts.max_iters = 0;
+  auto check = [&](const BlockSolveResult& br,
+                   const std::vector<std::vector<double>>& X,
+                   const std::vector<std::vector<double>>& X0,
+                   const std::string& what) {
+    ASSERT_EQ(br.columns.size(), X0.size()) << what;
+    for (size_t c = 0; c < X0.size(); ++c) {
+      EXPECT_EQ(br.columns[c].iterations, 0) << what << " column " << c;
+      EXPECT_FALSE(br.columns[c].converged) << what << " column " << c;
+      EXPECT_EQ(br.columns[c].residual_history.size(), 1u) << what;
+      const std::vector<double> expect =
+          X0[c].empty() ? std::vector<double>(static_cast<size_t>(n), 0.0)
+                        : X0[c];
+      EXPECT_EQ(X[c], expect) << what << " column " << c;
+    }
+  };
+  const std::vector<std::vector<std::vector<double>>> guesses = {
+      {{}}, {warm}, {{}, warm}};
+  for (const auto& X0 : guesses) {
+    const std::vector<std::vector<double>> B(X0.size(), b);
+    const std::string w = "width " + std::to_string(X0.size());
+    auto Xg = X0;
+    check(block_gmres<double>(op, nullptr, B, Xg, gopts), Xg, X0,
+          "block_gmres " + w);
+    auto Xc = X0;
+    check(block_cg<double>(op, nullptr, B, Xc, copts), Xc, X0,
+          "block_cg " + w);
+  }
+  for (const auto& x0 : {std::vector<double>{}, warm}) {
+    std::vector<double> xg = x0, xc = x0;
+    const auto rg = gmres<double>(op, nullptr, b, xg, gopts);
+    const auto rc = cg<double>(op, nullptr, b, xc, copts);
+    EXPECT_EQ(rg.iterations, 0);
+    EXPECT_EQ(rc.iterations, 0);
+    const std::vector<double> expect =
+        x0.empty() ? std::vector<double>(static_cast<size_t>(n), 0.0) : x0;
+    EXPECT_EQ(xg, expect);
+    EXPECT_EQ(xc, expect);
   }
 }
 

@@ -5,6 +5,7 @@
 #include <random>
 
 #include "comm/comm.hpp"
+#include "la/block.hpp"
 #include "la/csr.hpp"
 #include "la/dense.hpp"
 #include "la/dist.hpp"
@@ -411,10 +412,12 @@ TEST(HaloSplit, PartitionIsExactOnBoxDecomposition) {
 }
 
 TEST(DistSpmv, OverlappedBitwiseMatchesBlockingAcrossRanksAndThreads) {
-  // The tentpole contract on the paper's two 16^3 problems: interior-rows-
-  // while-importing then boundary rows gives the SAME bits as import-then-
-  // all-rows, at every (ranks, threads), and the compute accounting of the
-  // two paths is identical -- only the comm-side ov_/window fields differ.
+  // On the paper's two 16^3 problems, at width 1 (every single operator
+  // application): interior-rows-while-importing then boundary rows gives
+  // the SAME bits as import-then-all-rows and as la::spmv, at every
+  // (ranks, threads), and the compute accounting of the two paths is
+  // identical (la::spmv's flops) -- only the comm-side ov_/window fields
+  // differ.
   auto lap = frosch::test::laplace_problem(16, 2, 2, 2);
   auto ela = frosch::test::elasticity_problem(16, 2, 2, 2);
   for (const auto* prob : {&lap, &ela}) {
@@ -434,22 +437,26 @@ TEST(DistSpmv, OverlappedBitwiseMatchesBlockingAcrossRanksAndThreads) {
         DistCsrMatrix<double> Ad(A, plan);
         const auto msgs = plan.messages(sizeof(double));
 
+        const std::vector<std::vector<double>> X{xg};
+
         comm::SimComm cb(R, policy);
-        DistVector<double> xb(plan), yb(plan);
-        xb.scatter_owned(xg);
+        DistMultiVector<double> xb(plan, 1), yb(plan, 1);
+        xb.scatter_owned(X);
         halo_import(cb, plan, msgs, xb);
         OpProfile prof_b;
-        dist_spmv(cb, Ad, xb, yb, &prof_b);
+        dist_spmv_multi(cb, Ad, xb, yb, &prof_b);
 
         comm::SimComm co(R, policy);
-        DistVector<double> xo(plan), yo(plan);
-        xo.scatter_owned(xg);
+        DistMultiVector<double> xo(plan, 1), yo(plan, 1);
+        xo.scatter_owned(X);
         OpProfile prof_o;
-        dist_spmv_overlapped(co, Ad, msgs, xo, yo, &prof_o);
+        dist_spmv_multi_overlapped(co, Ad, msgs, xo, yo, &prof_o);
 
-        std::vector<double> y_b, y_o;
-        yb.gather_owned(y_b);
-        yo.gather_owned(y_o);
+        std::vector<std::vector<double>> Y_b(1), Y_o(1);
+        yb.gather_owned(Y_b);
+        yo.gather_owned(Y_o);
+        const auto& y_b = Y_b[0];
+        const auto& y_o = Y_o[0];
         const std::string what = "R=" + std::to_string(R) +
                                  " T=" + std::to_string(T) +
                                  " n=" + std::to_string(n);
@@ -459,13 +466,18 @@ TEST(DistSpmv, OverlappedBitwiseMatchesBlockingAcrossRanksAndThreads) {
                   0)
             << what;
         // Identical aggregate compute accounting BY DESIGN.
+        EXPECT_EQ(prof_b.flops, 2.0 * static_cast<double>(A.num_entries()))
+            << what;
+        EXPECT_EQ(prof_b.launches, 1) << what;
         EXPECT_EQ(prof_o.flops, prof_b.flops) << what;
         EXPECT_EQ(prof_o.bytes, prof_b.bytes) << what;
         EXPECT_EQ(prof_o.launches, prof_b.launches) << what;
         for (int r = 0; r < R; ++r) {
           const auto& pb = cb.prof(r);
           const auto& po = co.prof(r);
-          // Same wire traffic either way...
+          // Same per-rank compute and wire traffic either way...
+          EXPECT_EQ(po.flops, pb.flops) << what;
+          EXPECT_EQ(po.bytes, pb.bytes) << what;
           EXPECT_EQ(po.neighbor_msgs, pb.neighbor_msgs) << what;
           EXPECT_EQ(po.msg_bytes, pb.msg_bytes) << what;
           // ... but the overlapped path posted ALL of it async, with a

@@ -701,6 +701,41 @@ TEST(SolveSession, WarmStartTicketContinuesFromGuess) {
   EXPECT_TRUE(session.report(t).converged);
 }
 
+TEST(Facade, ZeroIterationCapLeavesBatchGuessesUntouched) {
+  // max-iters = 0 through solve_batch: every column reports 0 iterations,
+  // a zero guess stays zero and a warm start is returned unchanged, for
+  // GMRES and CG at widths 1 and 2.
+  auto p = test::algebraic_laplace(6, 4, 1);
+  const index_t n = p.A.num_rows();
+  const auto b = random_vector(n, 31);
+  const auto warm = random_vector(n, 32);
+  for (auto method : {krylov::KrylovMethod::Gmres, krylov::KrylovMethod::Cg}) {
+    SolverConfig cfg;
+    cfg.krylov.method = method;
+    cfg.krylov.max_iters = 0;
+    Solver solver(cfg);
+    solver.setup(p.A, p.Z, p.decomp);
+    const std::vector<std::vector<std::vector<double>>> guesses = {
+        {{}}, {{}, warm}};
+    for (const auto& X0 : guesses) {
+      const std::vector<std::vector<double>> B(X0.size(), b);
+      auto X = X0;
+      const auto reps = solver.solve_batch(B, X);
+      ASSERT_EQ(reps.size(), X0.size());
+      const std::string what = std::string(krylov::to_string(method)) +
+                               " width " + std::to_string(X0.size());
+      for (size_t c = 0; c < X0.size(); ++c) {
+        EXPECT_EQ(reps[c].iterations, 0) << what << " column " << c;
+        EXPECT_FALSE(reps[c].converged) << what << " column " << c;
+        const std::vector<double> expect =
+            X0[c].empty() ? std::vector<double>(static_cast<size_t>(n), 0.0)
+                          : X0[c];
+        EXPECT_EQ(X[c], expect) << what << " column " << c;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Solver::refresh -- the layered setup cache (DESIGN.md section 9).  A
 // numeric-only refresh must be BITWISE identical to a cold setup on the
