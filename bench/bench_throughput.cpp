@@ -7,7 +7,10 @@
 //
 // The determinism contract makes the iteration counts a hard guard: every
 // rhs must take EXACTLY the same iterations at every width (fused
-// reduction slots fold independently), so any drift fails the bench.
+// reduction slots fold independently), so any drift fails the bench.  Each
+// record carries its solves/s ratio to width 1, and the bench also fails
+// when width 4 is slower than width 1: the block Schwarz apply streams
+// every subdomain factor once per block, so batching must not lose.
 //
 // Default problem: the 24^3 Laplace brick, 8 subdomains.  Usage:
 //   bench_throughput [--elems N] [--parts P] [--nrhs R] [--json PATH]
@@ -27,6 +30,7 @@ struct Measurement {
   index_t width = 1;
   double wall_s = 0.0;
   double solves_per_s = 0.0;
+  double vs_width1 = 1.0;  ///< solves/s relative to width 1
   index_t total_iterations = 0;
   bool all_converged = true;
   std::vector<index_t> iterations;  ///< per rhs, the drift guard's subject
@@ -80,8 +84,8 @@ int main(int argc, char** argv) {
       "\n=== multi-RHS throughput: %d^3 Laplace, %d subdomains, %d rhs, "
       "setup %.3fs ===\n",
       int(elems), int(parts), int(nrhs), setup_s);
-  std::printf("%-8s %12s %14s %10s %10s\n", "width", "wall[s]", "solves/s",
-              "iters", "converged");
+  std::printf("%-8s %12s %14s %10s %10s %10s\n", "width", "wall[s]",
+              "solves/s", "vs w=1", "iters", "converged");
 
   std::vector<Measurement> ms;
   for (index_t w : {1, 2, 4, 8}) {
@@ -103,14 +107,15 @@ int main(int argc, char** argv) {
     session.flush();
     mm.wall_s = t.seconds();
     mm.solves_per_s = double(nrhs) / mm.wall_s;
+    if (!ms.empty()) mm.vs_width1 = mm.solves_per_s / ms.front().solves_per_s;
     for (size_t q : tickets) {
       const auto& rep = session.report(q);
       mm.iterations.push_back(rep.iterations);
       mm.total_iterations += rep.iterations;
       mm.all_converged = mm.all_converged && rep.converged;
     }
-    std::printf("%-8d %12.3f %14.2f %10d %10s\n", int(w), mm.wall_s,
-                mm.solves_per_s, int(mm.total_iterations),
+    std::printf("%-8d %12.3f %14.2f %10.2f %10d %10s\n", int(w), mm.wall_s,
+                mm.solves_per_s, mm.vs_width1, int(mm.total_iterations),
                 mm.all_converged ? "yes" : "NO");
     JsonRecord rec;
     rec.set("bench", "throughput")
@@ -121,6 +126,7 @@ int main(int argc, char** argv) {
         .set("setup_s", setup_s)
         .set("wall_s", mm.wall_s)
         .set("solves_per_s", mm.solves_per_s)
+        .set("solves_per_s_vs_width1", mm.vs_width1)
         .set("total_iterations", mm.total_iterations)
         .set("all_converged", mm.all_converged);
     json.add(rec);
@@ -148,5 +154,17 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("per-rhs iteration counts identical across widths: yes\n");
+
+  // Batching guard: a width-4 block must not lose to single-rhs solves.
+  for (const auto& m : ms) {
+    if (m.width == 4 && m.vs_width1 < 1.0) {
+      std::fprintf(stderr,
+                   "FAIL: width 4 is slower than width 1 (%.2f vs %.2f "
+                   "solves/s)\n",
+                   m.solves_per_s, ms.front().solves_per_s);
+      return 1;
+    }
+  }
+  std::printf("width 4 at least as fast as width 1: yes\n");
   return 0;
 }

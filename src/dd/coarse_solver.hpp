@@ -25,6 +25,7 @@
 #include "common/enum_parse.hpp"
 #include "common/op_profile.hpp"
 #include "la/csr.hpp"
+#include "la/vector_ops.hpp"
 
 namespace frosch::comm {
 class Communicator;
@@ -103,6 +104,23 @@ class CoarseLevelSolver {
   /// otherwise.
   virtual void solve(const std::vector<Scalar>& r0, std::vector<Scalar>& z0,
                      OpProfile* prof) const = 0;
+
+  /// The w-column form of solve(): R0 and Z0 are row-major interleaved
+  /// blocks (entry (i, c) at i*w + c), Z0 is resized to R0's size.  Each
+  /// column is bitwise identical to its solo solve(), and every profile
+  /// charge and collective equals those of w solo calls.  This default runs
+  /// one solve() per column.
+  virtual void solve_columns(const std::vector<Scalar>& R0,
+                             std::vector<Scalar>& Z0, index_t w,
+                             OpProfile* prof) const {
+    const auto rs = la::deinterleave(R0, w);
+    std::vector<std::vector<Scalar>> zs(rs.size());
+    for (size_t c = 0; c < rs.size(); ++c) {
+      zs[c].resize(rs[c].size());
+      solve(rs[c], zs[c], prof);
+    }
+    Z0 = la::interleave(zs);
+  }
 
   /// Snapshot of the per-level dimensions, subset sizes, and compute
   /// shares accumulated so far (fine level excluded; index 0 is level 2).

@@ -167,43 +167,50 @@ namespace detail {
 
 /// The per-part extension solves shared by the cold and refresh paths of
 /// extend_basis: finds the coarse columns active on this interior, solves
-/// each against -W(I, c), and collects the nonzero Phi entries.  Identical
-/// inputs produce identical entries, which is what extends the bitwise
-/// refresh contract through the coarse basis.
+/// all of them against -W(I, c) in ONE multi-column solve (each interior
+/// factor is streamed once for the whole block), and collects the nonzero
+/// Phi entries column by column.  Each column is bitwise identical to its
+/// solo solve, so identical inputs produce identical entries -- which is
+/// what extends the bitwise refresh contract through the coarse basis.
 template <class Scalar, class Entry>
 void extension_solve_columns(const la::CsrMatrix<Scalar>& W,
                              const IndexVector& I, index_t nc,
                              const LocalSolver<Scalar>& solver,
                              std::vector<Entry>& entries, OpProfile* pprof) {
-  // Which coarse columns touch this interior?  Walk W rows of I.
+  // Which coarse columns touch this interior?  Walk W rows of I; active
+  // columns get consecutive block slots in ascending column order.
   auto Wp = la::extract_rows(W, I);
-  std::vector<char> active(static_cast<size_t>(nc), 0);
+  IndexVector slot(static_cast<size_t>(nc), -1);
   for (index_t r = 0; r < Wp.num_rows(); ++r)
     for (index_t k = Wp.row_begin(r); k < Wp.row_end(r); ++k)
-      active[Wp.col(k)] = 1;
-  std::vector<Scalar> rhs(I.size()), x;
-  OpProfile batched;  // all RHS solved as one batched multi-vector solve
-  index_t n_active = 0;
+      slot[Wp.col(k)] = 0;
+  IndexVector cols;  // active coarse column of each block slot
   for (index_t c = 0; c < nc; ++c) {
-    if (!active[c]) continue;
-    ++n_active;
-    std::fill(rhs.begin(), rhs.end(), Scalar(0));
-    for (index_t r = 0; r < Wp.num_rows(); ++r) {
-      const index_t pos = Wp.find(r, c);
-      if (pos >= 0) rhs[r] = -Wp.val(pos);
-    }
-    solver.solve(rhs, x, &batched);
+    if (slot[c] < 0) continue;
+    slot[c] = static_cast<index_t>(cols.size());
+    cols.push_back(c);
+  }
+  const size_t w = cols.size();
+  if (w == 0) return;
+  // All right-hand sides in one pass over Wp's rows: rhs(r, slot) = -W(r, c).
+  std::vector<Scalar> rhs(I.size() * w, Scalar(0)), x;
+  for (index_t r = 0; r < Wp.num_rows(); ++r)
+    for (index_t k = Wp.row_begin(r); k < Wp.row_end(r); ++k)
+      rhs[static_cast<size_t>(r) * w + slot[Wp.col(k)]] = -Wp.val(k);
+  // The block solve charges w solo solves: flops and traffic scale with the
+  // width, but the launch count and critical path are those of a single
+  // solve with w-fold wider work items.
+  OpProfile batched;
+  solver.solve_columns(rhs, x, static_cast<index_t>(w), &batched);
+  for (size_t s = 0; s < w; ++s) {
     for (size_t q = 0; q < I.size(); ++q) {
-      if (x[q] != Scalar(0)) entries.push_back({I[q], c, x[q]});
+      const Scalar v = x[q * w + s];
+      if (v != Scalar(0)) entries.push_back({I[q], cols[s], v});
     }
   }
-  if (pprof && n_active > 0) {
-    // A production implementation solves all extension right-hand
-    // sides in ONE batched multi-vector triangular solve: same
-    // flops/traffic, but the launch count and critical path are those
-    // of a single solve with n_active-fold wider work items.
-    batched.launches /= n_active;
-    batched.critical_path /= n_active;
+  if (pprof) {
+    batched.launches /= static_cast<count_t>(w);
+    batched.critical_path /= static_cast<count_t>(w);
     *pprof += batched;
   }
 }

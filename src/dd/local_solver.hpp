@@ -183,21 +183,38 @@ class LocalSolver {
     stage_factor_refresh();
   }
 
-  /// x = A^{-1} b (exactly or approximately, per the configured backend).
+  /// x = A^{-1} b (exactly or approximately, per the configured backend):
+  /// the width-1 block solve.
   void solve(const std::vector<Scalar>& b, std::vector<Scalar>& x,
              OpProfile* prof = nullptr) const {
+    solve_columns(b, x, 1, prof);
+  }
+
+  /// X = A^{-1} B for w right-hand sides in one block solve.  B and X are
+  /// row-major interleaved -- entry (i, c) at i*w + c -- and X is resized
+  /// to B's size.  The fill-reducing ordering gathers whole rows of the
+  /// block, the engine streams each factor once for all w columns, and the
+  /// result scatters back once.  Each column is bitwise identical to its
+  /// solo solve(); `prof` receives w solo charges.
+  void solve_columns(const std::vector<Scalar>& B, std::vector<Scalar>& X,
+                     index_t w, OpProfile* prof = nullptr) const {
     FROSCH_CHECK(numeric_done_, "LocalSolver: numeric() first");
     if (perm_.empty()) {
-      engine_->solve(b, x, prof);
+      engine_->solve_columns(B, X, w, prof);
       return;
     }
-    // Apply the fill-reducing ordering around the solve.
-    const index_t n = static_cast<index_t>(b.size());
-    std::vector<Scalar> bp(b.size()), xp;
-    for (index_t i = 0; i < n; ++i) bp[i] = b[perm_[i]];
-    engine_->solve(bp, xp, prof);
-    x.resize(b.size());
-    for (index_t i = 0; i < n; ++i) x[perm_[i]] = xp[i];
+    const size_t ws = static_cast<size_t>(w), n = perm_.size();
+    std::vector<Scalar> bp(B.size()), xp;
+    for (size_t i = 0; i < n; ++i) {
+      const size_t src = static_cast<size_t>(perm_[i]) * ws;
+      for (size_t c = 0; c < ws; ++c) bp[i * ws + c] = B[src + c];
+    }
+    engine_->solve_columns(bp, xp, w, prof);
+    X.resize(B.size());
+    for (size_t i = 0; i < n; ++i) {
+      const size_t dst = static_cast<size_t>(perm_[i]) * ws;
+      for (size_t c = 0; c < ws; ++c) X[dst + c] = xp[i * ws + c];
+    }
   }
 
   count_t factor_nnz() const {

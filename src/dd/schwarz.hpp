@@ -440,19 +440,34 @@ class SchwarzPreconditioner final : public Preconditioner<Scalar> {
     return true;
   }
 
-  /// Phase (c): y = M^{-1} x, additive over subdomains + coarse level.
-  ///
-  /// The per-subdomain local solves -- the paper's dominant solve-phase
-  /// concurrency -- run in parallel under cfg_.exec, each into a private
-  /// result buffer; the additive combine onto the (overlap-shared) global
-  /// vector happens serially in part order afterwards, so the result is
-  /// identical at every (ranks, threads) combination.  The off-rank
-  /// restriction entries and the mirrored additive export are posted as
-  /// measured halo traffic once per application.
+  /// Phase (c): y = M^{-1} x, additive over subdomains + coarse level --
+  /// the width-1 block application.
   void apply_impl(const std::vector<Scalar>& x, std::vector<Scalar>& y,
                   OpProfile* prof) const override {
+    apply_columns_impl({&x}, {&y}, prof);
+  }
+
+  /// Y = M^{-1} X for a block of w columns.
+  ///
+  /// The per-subdomain local solves -- the paper's dominant solve-phase
+  /// concurrency -- run in parallel under cfg_.exec.  Each part restricts
+  /// all w columns into one interleaved block and solves it with ONE
+  /// multi-column local solve, which streams the subdomain factor once for
+  /// the whole block; the coarse correction is likewise one multi-column
+  /// coarse solve.  The additive combine onto the (overlap-shared) global
+  /// columns happens serially in part order afterwards, and each column's
+  /// local and coarse arithmetic is that of its solo solve, so every column
+  /// is bitwise identical to apply() at every (ranks, threads, width)
+  /// combination.  The accounting is that of w solo applications: the
+  /// profiles, the measured halo posts (import of off-rank restriction
+  /// entries, export of the additive combine), the coarse collectives and
+  /// the device launches are all charged once per column.
+  void apply_columns_impl(const std::vector<const std::vector<Scalar>*>& X,
+                          const std::vector<std::vector<Scalar>*>& Y,
+                          OpProfile* prof) const override {
     FROSCH_CHECK(numeric_done_, "SchwarzPreconditioner: numeric first");
-    y.assign(static_cast<size_t>(n_), Scalar(0));
+    const index_t w = static_cast<index_t>(X.size());
+    const size_t ws = X.size();
     std::vector<std::vector<Scalar>> yls(
         static_cast<size_t>(decomp_.num_parts));
     std::vector<OpProfile> locals(static_cast<size_t>(decomp_.num_parts));
@@ -460,54 +475,74 @@ class SchwarzPreconditioner final : public Preconditioner<Scalar> {
         cfg_.exec, decomp_.num_parts,
         [&](index_t p) {
           const auto& dofs = decomp_.overlap_dofs[p];
-          std::vector<Scalar> xl(dofs.size());
-          for (size_t q = 0; q < dofs.size(); ++q) xl[q] = x[dofs[q]];
+          std::vector<Scalar> xl(dofs.size() * ws);
+          for (size_t q = 0; q < dofs.size(); ++q)
+            for (size_t c = 0; c < ws; ++c) xl[q * ws + c] = (*X[c])[dofs[q]];
           OpProfile& local = locals[p];
-          solvers_[p]->solve(xl, yls[p], &local);
+          solvers_[p]->solve_columns(xl, yls[p], w, &local);
           // Restriction + prolongation memory traffic of this subdomain.
-          local.bytes += 4.0 * static_cast<double>(dofs.size()) * sizeof(Scalar);
-          local.launches += 2;
-          local.critical_path += 2;
-          local.work_items += 2.0 * static_cast<double>(dofs.size());
+          for (size_t c = 0; c < ws; ++c) {
+            local.bytes +=
+                4.0 * static_cast<double>(dofs.size()) * sizeof(Scalar);
+            local.launches += 2;
+            local.critical_path += 2;
+            local.work_items += 2.0 * static_cast<double>(dofs.size());
+          }
         },
         /*grain=*/1);
-    // The overlap halo of one application, measured from the exchange
-    // plans: import of off-rank x entries, export of the additive combine.
-    comm_->post(apply_import_msgs_);
-    comm_->post(apply_export_msgs_);
+    // The overlap halo of each column, measured from the exchange plans.
+    for (size_t c = 0; c < ws; ++c) {
+      comm_->post(apply_import_msgs_);
+      comm_->post(apply_export_msgs_);
+    }
+    for (auto* y : Y) y->assign(static_cast<size_t>(n_), Scalar(0));
     device::DeviceArena* arena = device::arena_of(cfg_.exec);
     for (index_t p = 0; p < decomp_.num_parts; ++p) {
       const auto& dofs = decomp_.overlap_dofs[p];
-      for (size_t q = 0; q < dofs.size(); ++q) y[dofs[q]] += yls[p][q];
+      const auto& yl = yls[p];
+      for (size_t q = 0; q < dofs.size(); ++q)
+        for (size_t c = 0; c < ws; ++c) (*Y[c])[dofs[q]] += yl[q * ws + c];
       // Restriction + prolongation kernels launch on the owning rank's GPU.
       if (arena != nullptr)
-        arena->launch(comm_->world_rank(static_cast<int>(part_rank_[p])), 2);
+        arena->launch(comm_->world_rank(static_cast<int>(part_rank_[p])),
+                      2 * static_cast<count_t>(w));
       prof_.ranks[part_rank_[p]].solve += locals[p];
       if (prof) *prof += locals[p];
     }
     if (cfg_.two_level && has_coarse_) {
       OpProfile cp;
-      std::vector<Scalar> r0, z0(static_cast<size_t>(A0_.num_rows())), w;
-      la::spmv_transpose(phi_, x, r0, Scalar(1), Scalar(0), &cp, cfg_.exec);
       // Coarse rhs gathered to the subset, solved there, solution
-      // replicated: two collectives with the coarse vector's payload.
-      comm_->gather(static_cast<double>(A0_.num_rows()) * sizeof(Scalar));
-      if (coarse_hook_) {
-        coarse_hook_->solve(r0, z0, &cp);
-      } else {
-        coarse_solver_->solve(r0, z0, &cp);
+      // replicated: two collectives per column with the coarse vector's
+      // payload.
+      const double coarse_bytes =
+          static_cast<double>(A0_.num_rows()) * sizeof(Scalar);
+      std::vector<std::vector<Scalar>> r0(ws);
+      for (size_t c = 0; c < ws; ++c) {
+        la::spmv_transpose(phi_, *X[c], r0[c], Scalar(1), Scalar(0), &cp,
+                           cfg_.exec);
+        comm_->gather(coarse_bytes);
       }
-      comm_->broadcast(static_cast<double>(A0_.num_rows()) * sizeof(Scalar));
-      prof_.coarse_comm_bytes +=
-          2.0 * static_cast<double>(A0_.num_rows()) * sizeof(Scalar);
-      la::spmv(phi_, z0, w, Scalar(1), Scalar(0), &cp, cfg_.exec);
-      exec::parallel_for(cfg_.exec, n_, [&](index_t i) { y[i] += w[i]; });
-      device::launches(cfg_.exec, 1);  // the additive coarse combine
+      std::vector<Scalar> Z0;
+      if (coarse_hook_) {
+        coarse_hook_->solve_columns(la::interleave(r0), Z0, w, &cp);
+      } else {
+        coarse_solver_->solve_columns(la::interleave(r0), Z0, w, &cp);
+      }
+      const auto z0 = la::deinterleave(Z0, w);
+      std::vector<Scalar> wc;
+      for (size_t c = 0; c < ws; ++c) {
+        comm_->broadcast(coarse_bytes);
+        prof_.coarse_comm_bytes += 2.0 * coarse_bytes;
+        la::spmv(phi_, z0[c], wc, Scalar(1), Scalar(0), &cp, cfg_.exec);
+        auto& y = *Y[c];
+        exec::parallel_for(cfg_.exec, n_, [&](index_t i) { y[i] += wc[i]; });
+        device::launches(cfg_.exec, 1);  // the additive coarse combine
+      }
       prof_.coarse.solve += cp;
       if (prof) *prof += cp;
       if (coarse_hook_) prof_.coarse_levels = coarse_hook_->level_reports();
     }
-    ++prof_.apply_count;
+    prof_.apply_count += static_cast<count_t>(w);
   }
 
  private:

@@ -35,15 +35,20 @@ struct Factorization {
   index_t n() const { return L.num_rows(); }
   count_t factor_nnz() const { return L.num_entries() + U.num_entries(); }
 
-  /// Applies the pivot permutation: out[perm[i]] = in[i].
-  void apply_row_perm(const std::vector<Scalar>& in,
-                      std::vector<Scalar>& out) const {
+  /// Applies the pivot permutation to the w columns of a row-major
+  /// interleaved block ((i, c) at i*w + c): out row perm[i] = in row i.
+  void apply_row_perm(const std::vector<Scalar>& in, std::vector<Scalar>& out,
+                      index_t w = 1) const {
     out.resize(in.size());
     if (row_perm_old2new.empty()) {
       out = in;
       return;
     }
-    for (size_t i = 0; i < in.size(); ++i) out[row_perm_old2new[i]] = in[i];
+    const size_t ws = static_cast<size_t>(w), rows = in.size() / ws;
+    for (size_t i = 0; i < rows; ++i) {
+      const size_t dst = static_cast<size_t>(row_perm_old2new[i]) * ws;
+      for (size_t c = 0; c < ws; ++c) out[dst + c] = in[i * ws + c];
+    }
   }
 };
 

@@ -128,4 +128,28 @@ void multi_dot(const std::vector<std::vector<Scalar>>& vs,
   }
 }
 
+/// Packs w equal-length columns into the row-major interleaved block of the
+/// multi-column local and coarse solves: entry (i, c) at i*w + c.
+template <class Scalar>
+std::vector<Scalar> interleave(const std::vector<std::vector<Scalar>>& cols) {
+  const size_t w = cols.size(), n = w > 0 ? cols[0].size() : 0;
+  std::vector<Scalar> block(n * w);
+  for (size_t c = 0; c < w; ++c) {
+    FROSCH_ASSERT(cols[c].size() == n, "interleave: column length mismatch");
+    for (size_t i = 0; i < n; ++i) block[i * w + c] = cols[c][i];
+  }
+  return block;
+}
+
+/// Unpacks a row-major interleaved block of w columns (see interleave).
+template <class Scalar>
+std::vector<std::vector<Scalar>> deinterleave(const std::vector<Scalar>& block,
+                                              index_t w) {
+  const size_t ws = static_cast<size_t>(w), n = block.size() / ws;
+  std::vector<std::vector<Scalar>> cols(ws, std::vector<Scalar>(n));
+  for (size_t c = 0; c < ws; ++c)
+    for (size_t i = 0; i < n; ++i) cols[c][i] = block[i * ws + c];
+  return cols;
+}
+
 }  // namespace frosch::la

@@ -102,26 +102,33 @@ class CoarseHierarchy final : public dd::CoarseLevelSolver<Scalar> {
 
   void solve(const std::vector<Scalar>& r0, std::vector<Scalar>& z0,
              OpProfile* prof) const override {
+    solve_columns(r0, z0, 1, prof);
+  }
+
+  /// The w-column coarse solve: ONE multi-column direct solve at a terminal
+  /// level, one block application of the inner Schwarz at a recursive one.
+  void solve_columns(const std::vector<Scalar>& R0, std::vector<Scalar>& Z0,
+                     index_t w, OpProfile* prof) const override {
+    const OpProfile before = prof ? *prof : OpProfile{};
     if (schwarz0_) {
-      const OpProfile before = prof ? *prof : OpProfile{};
-      schwarz0_->apply(r0, z0, prof);
-      if (prof) {
-        OpProfile delta = *prof;
-        delta -= before;
-        solve_prof_ += delta;
-      }
+      const auto rs = la::deinterleave(R0, w);
+      std::vector<std::vector<Scalar>> zs(
+          rs.size(), std::vector<Scalar>(static_cast<size_t>(dim_)));
+      schwarz0_->apply_columns(rs, zs, prof);
+      Z0 = la::interleave(zs);
     } else {
-      const OpProfile before = prof ? *prof : OpProfile{};
-      direct_->solve(r0, z0, prof);
-      if (prof) {
-        OpProfile delta = *prof;
-        delta -= before;
-        solve_prof_ += delta;
-      }
+      direct_->solve_columns(R0, Z0, w, prof);
       // Distributed triangular solves: the subset exchanges the coarse
-      // vector slices once per solve (nothing on the S=1 baseline).
+      // vector slices once per column (nothing on the S=1 baseline).
       if (sub_)
-        sub_->broadcast(static_cast<double>(dim_) * sizeof(Scalar) / subset_);
+        for (index_t c = 0; c < w; ++c)
+          sub_->broadcast(static_cast<double>(dim_) * sizeof(Scalar) /
+                          subset_);
+    }
+    if (prof) {
+      OpProfile delta = *prof;
+      delta -= before;
+      solve_prof_ += delta;
     }
   }
 

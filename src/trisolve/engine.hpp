@@ -26,6 +26,7 @@
 #include "common/op_profile.hpp"
 #include "direct/factorization.hpp"
 #include "exec/exec.hpp"
+#include "la/vector_ops.hpp"
 
 namespace frosch::trisolve {
 
@@ -80,6 +81,21 @@ class TriangularEngine {
   /// Solves with both factors, applying the pivot permutation first.
   virtual void solve(const std::vector<Scalar>& b, std::vector<Scalar>& x,
                      OpProfile* prof) const = 0;
+
+  /// Solves w right-hand sides at once.  B and X are row-major interleaved
+  /// blocks -- entry (i, c) at i*w + c -- and X is resized to B's size.
+  /// Every column is bitwise identical to its solo solve(), and `prof`
+  /// receives exactly w solo charges (device launches likewise).  This
+  /// default runs one solve() per column; the exact sweep engines override
+  /// it with one w-wide pass over each factor.
+  virtual void solve_columns(const std::vector<Scalar>& B,
+                             std::vector<Scalar>& X, index_t w,
+                             OpProfile* prof) const {
+    const auto cols = la::deinterleave(B, w);
+    std::vector<std::vector<Scalar>> xs(cols.size());
+    for (size_t c = 0; c < cols.size(); ++c) solve(cols[c], xs[c], prof);
+    X = la::interleave(xs);
+  }
 
   virtual TrisolveKind kind() const = 0;
 };

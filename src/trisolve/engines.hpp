@@ -53,12 +53,20 @@ class SubstitutionEngine final : public TriangularEngine<Scalar> {
 
   void solve(const std::vector<Scalar>& b, std::vector<Scalar>& x,
              OpProfile* prof) const override {
+    solve_columns(b, x, 1, prof);
+  }
+
+  void solve_columns(const std::vector<Scalar>& B, std::vector<Scalar>& X,
+                     index_t w, OpProfile* prof) const override {
     detail::touch_factor(policy_, fact_);
-    fact_->apply_row_perm(b, x);
-    forward_solve(fact_->L, fact_->unit_diag_L, x);
-    backward_solve(fact_->U, x);
-    device::launches(policy_, 2);
-    if (prof) {
+    fact_->apply_row_perm(B, X, w);
+    substitution_sweep(fact_->L, fact_->unit_diag_L, /*forward=*/true,
+                       X.data(), w);
+    substitution_sweep(fact_->U, /*unit_diag=*/false, /*forward=*/false,
+                       X.data(), w);
+    device::launches(policy_, 2 * static_cast<count_t>(w));
+    if (!prof) return;
+    for (index_t c = 0; c < w; ++c) {
       prof->flops += 2.0 * static_cast<double>(fact_->factor_nnz());
       prof->bytes += fact_->L.storage_bytes() + fact_->U.storage_bytes();
       prof->launches += 2;
@@ -99,16 +107,23 @@ class LevelSetEngine final : public TriangularEngine<Scalar> {
 
   void solve(const std::vector<Scalar>& b, std::vector<Scalar>& x,
              OpProfile* prof) const override {
+    solve_columns(b, x, 1, prof);
+  }
+
+  void solve_columns(const std::vector<Scalar>& B, std::vector<Scalar>& X,
+                     index_t w, OpProfile* prof) const override {
     detail::touch_factor(policy_, fact_);
-    fact_->apply_row_perm(b, x);
-    level_scheduled_solve(fact_->L, fact_->unit_diag_L, lorder_, lptr_, x,
-                          policy_);
-    level_scheduled_solve(fact_->U, /*unit_diag=*/false, uorder_, uptr_, x,
-                          policy_);
-    device::launches(policy_,
-                     static_cast<count_t>(lower_nlevels_ + upper_nlevels_));
-    record_levelset_sweep(fact_->L, lower_nlevels_, prof);
-    record_levelset_sweep(fact_->U, upper_nlevels_, prof);
+    fact_->apply_row_perm(B, X, w);
+    level_scheduled_solve(fact_->L, fact_->unit_diag_L, lorder_, lptr_,
+                          X.data(), w, policy_);
+    level_scheduled_solve(fact_->U, /*unit_diag=*/false, uorder_, uptr_,
+                          X.data(), w, policy_);
+    device::launches(policy_, static_cast<count_t>(w) *
+                                  (lower_nlevels_ + upper_nlevels_));
+    for (index_t c = 0; c < w; ++c) {
+      record_levelset_sweep(fact_->L, lower_nlevels_, prof);
+      record_levelset_sweep(fact_->U, upper_nlevels_, prof);
+    }
   }
 
   TrisolveKind kind() const override { return TrisolveKind::LevelSet; }
@@ -169,15 +184,21 @@ class SupernodalEngine final : public TriangularEngine<Scalar> {
 
   void solve(const std::vector<Scalar>& b, std::vector<Scalar>& x,
              OpProfile* prof) const override {
+    solve_columns(b, x, 1, prof);
+  }
+
+  void solve_columns(const std::vector<Scalar>& B, std::vector<Scalar>& X,
+                     index_t w, OpProfile* prof) const override {
     detail::touch_factor(policy_, fact_);
-    fact_->apply_row_perm(b, x);
+    fact_->apply_row_perm(B, X, w);
     block_sweep(fact_->L, fact_->unit_diag_L, /*forward=*/true, lsn_order_,
-                lsn_ptr_, x);
+                lsn_ptr_, X.data(), w);
     block_sweep(fact_->U, /*unit_diag=*/false, /*forward=*/false, usn_order_,
-                usn_ptr_, x);
-    device::launches(policy_,
-                     static_cast<count_t>(lower_nlevels_ + upper_nlevels_));
-    if (prof) {
+                usn_ptr_, X.data(), w);
+    device::launches(policy_, static_cast<count_t>(w) *
+                                  (lower_nlevels_ + upper_nlevels_));
+    if (!prof) return;
+    for (index_t c = 0; c < w; ++c) {
       prof->flops += 2.0 * static_cast<double>(fact_->factor_nnz());
       prof->bytes += fact_->L.storage_bytes() + fact_->U.storage_bytes();
       prof->launches += lower_nlevels_ + upper_nlevels_;
@@ -223,26 +244,28 @@ class SupernodalEngine final : public TriangularEngine<Scalar> {
     return level;
   }
 
-  /// One block-level sweep: supernodes of a level in parallel, the rows of
-  /// one supernode sequentially (ascending for L, descending for U).
+  /// One block-level sweep of the interleaved block x (w columns):
+  /// supernodes of a level in parallel, the rows of one supernode
+  /// sequentially (ascending for L, descending for U).
   void block_sweep(const la::CsrMatrix<Scalar>& T, bool unit_diag,
                    bool forward, const IndexVector& sn_order,
-                   const IndexVector& sn_lptr, std::vector<Scalar>& x) const {
+                   const IndexVector& sn_lptr, Scalar* x, index_t w) const {
     const auto& sn_ptr = fact_->sn_ptr;
     const index_t nlevels = static_cast<index_t>(sn_lptr.size()) - 1;
-    for (index_t l = 0; l < nlevels; ++l) {
-      const index_t begin = sn_lptr[l], width = sn_lptr[l + 1] - sn_lptr[l];
-      exec::parallel_for(
-          policy_, width,
-          [&](index_t q) {
-            const index_t s = sn_order[begin + q];
-            const index_t rb = sn_ptr[s], re = sn_ptr[s + 1];
-            for (index_t r = 0; r < re - rb; ++r) {
-              solve_row(T, unit_diag, forward ? rb + r : re - 1 - r, x);
-            }
-          },
-          /*grain=*/16);
-    }
+    with_row_update(T, unit_diag, x, w, [&](auto row) {
+      for (index_t l = 0; l < nlevels; ++l) {
+        const index_t begin = sn_lptr[l], width = sn_lptr[l + 1] - sn_lptr[l];
+        exec::parallel_for(
+            policy_, width,
+            [&](index_t q) {
+              const index_t s = sn_order[begin + q];
+              const index_t rb = sn_ptr[s], re = sn_ptr[s + 1];
+              for (index_t r = 0; r < re - rb; ++r)
+                row(forward ? rb + r : re - 1 - r);
+            },
+            /*grain=*/16);
+      }
+    });
   }
 
   const Factorization<Scalar>* fact_ = nullptr;
@@ -375,6 +398,8 @@ class JacobiSweepsEngine final : public TriangularEngine<Scalar> {
 
   void setup(const Factorization<Scalar>& f, OpProfile* prof) override {
     fact_ = &f;
+    ldiag_ = diagonal(f.L, f.unit_diag_L);
+    udiag_ = diagonal(f.U, /*unit_diag=*/false);
     if (prof) {
       // No scheduling needed at all: this is the point of the iterative
       // variant -- setup is a single streaming pass.
@@ -390,27 +415,35 @@ class JacobiSweepsEngine final : public TriangularEngine<Scalar> {
     detail::touch_factor(policy_, fact_);
     std::vector<Scalar> pb;
     fact_->apply_row_perm(b, pb);
-    std::vector<Scalar> y(pb.size());
-    sweep_solve(fact_->L, fact_->unit_diag_L, /*lower=*/true, pb, y, prof);
+    // y, x and the sweep scratch are sized once for both factors.
+    std::vector<Scalar> y(pb.size()), xn(pb.size());
     x.resize(pb.size());
-    sweep_solve(fact_->U, /*unit_diag=*/false, /*lower=*/false, y, x, prof);
+    sweep_solve(fact_->L, ldiag_, pb, y, xn, prof);
+    sweep_solve(fact_->U, udiag_, y, x, xn, prof);
   }
 
   TrisolveKind kind() const override { return TrisolveKind::JacobiSweeps; }
 
  private:
-  void sweep_solve(const la::CsrMatrix<Scalar>& T, bool unit_diag, bool lower,
-                   const std::vector<Scalar>& b, std::vector<Scalar>& x,
-                   OpProfile* prof) const {
-    (void)lower;
+  /// The diagonal of T, or ones for an implicit unit diagonal.
+  static std::vector<Scalar> diagonal(const la::CsrMatrix<Scalar>& T,
+                                      bool unit_diag) {
     const index_t n = T.num_rows();
     std::vector<Scalar> diag(static_cast<size_t>(n), Scalar(1));
     if (!unit_diag)
       for (index_t i = 0; i < n; ++i) diag[i] = T.at(i, i);
+    return diag;
+  }
+
+  /// `sweeps_` Jacobi sweeps on T x = b from x^0 = D^{-1} b; x and xn are
+  /// pre-sized to n, xn is scratch.
+  void sweep_solve(const la::CsrMatrix<Scalar>& T,
+                   const std::vector<Scalar>& diag,
+                   const std::vector<Scalar>& b, std::vector<Scalar>& x,
+                   std::vector<Scalar>& xn, OpProfile* prof) const {
+    const index_t n = T.num_rows();
     // x^0 = D^{-1} b.
-    x.resize(static_cast<size_t>(n));
     exec::parallel_for(policy_, n, [&](index_t i) { x[i] = b[i] / diag[i]; });
-    std::vector<Scalar> xn(static_cast<size_t>(n));
     for (int s = 0; s < sweeps_; ++s) {
       exec::parallel_for(policy_, n, [&](index_t i) {
         Scalar sum = b[i];
@@ -435,6 +468,7 @@ class JacobiSweepsEngine final : public TriangularEngine<Scalar> {
   const Factorization<Scalar>* fact_ = nullptr;
   exec::ExecPolicy policy_;
   int sweeps_;
+  std::vector<Scalar> ldiag_, udiag_;  ///< factor diagonals, cached in setup
 };
 
 }  // namespace frosch::trisolve

@@ -64,4 +64,40 @@ bool is_permutation(const IndexVector& p, index_t n) {
   return true;
 }
 
+void expect_profiles_equal(const OpProfile& a, const OpProfile& b,
+                           const std::string& what) {
+  EXPECT_EQ(a.flops, b.flops) << what;
+  EXPECT_EQ(a.bytes, b.bytes) << what;
+  EXPECT_EQ(a.launches, b.launches) << what;
+  EXPECT_EQ(a.critical_path, b.critical_path) << what;
+  EXPECT_EQ(a.work_items, b.work_items) << what;
+  EXPECT_EQ(a.reductions, b.reductions) << what;
+  EXPECT_EQ(a.neighbor_msgs, b.neighbor_msgs) << what;
+  EXPECT_EQ(a.msg_bytes, b.msg_bytes) << what;
+  EXPECT_EQ(a.sub_reductions, b.sub_reductions) << what;
+  EXPECT_EQ(a.sub_red_log2, b.sub_red_log2) << what;
+  EXPECT_EQ(a.ov_reductions, b.ov_reductions) << what;
+  EXPECT_EQ(a.ov_neighbor_msgs, b.ov_neighbor_msgs) << what;
+  EXPECT_EQ(a.ov_msg_bytes, b.ov_msg_bytes) << what;
+  EXPECT_EQ(a.overlap_windows, b.overlap_windows) << what;
+  EXPECT_EQ(a.overlap_s, b.overlap_s) << what;
+}
+
+void expect_ledgers_equal(const device::TransferLedger& a,
+                          const device::TransferLedger& b,
+                          const std::string& what) {
+  EXPECT_EQ(a.launches, b.launches) << what;
+  auto same = [&](const device::TransferStats& x,
+                  const device::TransferStats& y, const std::string& fam) {
+    EXPECT_EQ(x.h2d_count, y.h2d_count) << what << " " << fam;
+    EXPECT_EQ(x.h2d_bytes, y.h2d_bytes) << what << " " << fam;
+    EXPECT_EQ(x.d2h_count, y.d2h_count) << what << " " << fam;
+    EXPECT_EQ(x.d2h_bytes, y.d2h_bytes) << what << " " << fam;
+  };
+  same(a.total, b.total, "total");
+  for (size_t k = 0; k < a.by_op.size(); ++k)
+    same(a.by_op[k], b.by_op[k],
+         device::to_string(static_cast<device::Xfer>(k)));
+}
+
 }  // namespace frosch::test

@@ -3,8 +3,11 @@
 // coordinates, so call sites stay one line.
 #pragma once
 
+#include <string>
 #include <vector>
 
+#include "common/op_profile.hpp"
+#include "device/ledger.hpp"
 #include "la/csr.hpp"
 #include "la/dense.hpp"
 
@@ -33,5 +36,16 @@ void expect_residual_below(const la::CsrMatrix<double>& A,
 
 /// True when p is a permutation of {0, ..., n-1}.
 bool is_permutation(const IndexVector& p, index_t n);
+
+/// Every field of two operation profiles exactly equal; `what` labels the
+/// failures.
+void expect_profiles_equal(const OpProfile& a, const OpProfile& b,
+                           const std::string& what);
+
+/// Launch counts and every per-family transfer count and byte total of two
+/// device ledgers exactly equal.
+void expect_ledgers_equal(const device::TransferLedger& a,
+                          const device::TransferLedger& b,
+                          const std::string& what);
 
 }  // namespace frosch::test

@@ -17,7 +17,7 @@
 #include "la/spmv.hpp"
 #include "support/matrices.hpp"
 #include "support/problems.hpp"
-#include "trisolve/substitution.hpp"
+#include "trisolve/engines.hpp"
 
 namespace frosch::direct {
 namespace {
@@ -26,12 +26,14 @@ using test::laplace2d;
 using test::random_nonsym;
 using test::random_vector;
 
-template <class Fact>
-std::vector<double> solve_with(const Fact& f, const std::vector<double>& b) {
-  std::vector<double> x;
-  f.apply_row_perm(b, x);
-  trisolve::forward_solve(f.L, f.unit_diag_L, x);
-  trisolve::backward_solve(f.U, x);
+/// x = U^{-1} L^{-1} P b by sequential substitution.
+template <class Scalar>
+std::vector<Scalar> solve_with(const Factorization<Scalar>& f,
+                               const std::vector<Scalar>& b) {
+  trisolve::SubstitutionEngine<Scalar> engine;
+  engine.setup(f, nullptr);
+  std::vector<Scalar> x;
+  engine.solve(b, x, nullptr);
   return x;
 }
 
@@ -388,9 +390,8 @@ TYPED_TEST(LowPrecisionFronts, SolveSmallSpdSystem) {
   chol.numeric(A);
   const auto& f = chol.factorization();
   EXPECT_EQ(f.sn_ptr, detect_supernodes(f.U));
-  std::vector<Scalar> x(bd.begin(), bd.end());
-  trisolve::forward_solve(f.L, f.unit_diag_L, x);
-  trisolve::backward_solve(f.U, x);
+  const std::vector<Scalar> x =
+      solve_with(f, std::vector<Scalar>(bd.begin(), bd.end()));
   // Laplace's condition number here is ~30: the error is a few units of
   // the precision's roundoff times that.
   const double tol = std::is_same_v<Scalar, float> ? 1e-4 : 5e-2;

@@ -7,7 +7,7 @@
 #include "la/ops.hpp"
 #include "la/spmv.hpp"
 #include "support/compare.hpp"
-#include "trisolve/substitution.hpp"
+#include "trisolve/engines.hpp"
 
 namespace frosch::fem {
 namespace {
@@ -161,14 +161,10 @@ TEST(Elasticity, ClampedSystemIsSpdAndSolvable) {
   std::vector<double> b(static_cast<size_t>(sys.A.num_rows()), 0.0);
   for (size_t q = 0; q < sys.keep.size(); ++q)
     if (sys.keep[q] % 3 == 2) b[q] = -1.0;  // z-load
+  trisolve::SubstitutionEngine<double> engine;
+  engine.setup(chol.factorization(), nullptr);
   std::vector<double> x;
-  sys.A.num_rows();
-  {
-    std::vector<double> tmp = b;
-    trisolve::forward_solve(chol.factorization().L, false, tmp);
-    trisolve::backward_solve(chol.factorization().U, tmp);
-    x = tmp;
-  }
+  engine.solve(b, x, nullptr);
   double zsum = 0.0;
   for (size_t q = 0; q < sys.keep.size(); ++q)
     if (sys.keep[q] % 3 == 2) zsum += x[q];

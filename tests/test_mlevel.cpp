@@ -15,9 +15,12 @@
 
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <string>
 
 #include "frosch.hpp"
 #include "perf/summit.hpp"
+#include "support/compare.hpp"
 #include "support/problems.hpp"
 
 namespace frosch {
@@ -330,6 +333,120 @@ TEST(Hierarchy, DefaultHookBitwiseMatchesInlineCoarsePath) {
   hooked.apply(x, y_hooked, nullptr);
   EXPECT_EQ(std::memcmp(y_inline.data(), y_hooked.data(), n * sizeof(double)),
             0);
+}
+
+// ---------------------------------------------------------------------------
+// Block (multi-column) Schwarz applications.
+
+/// A Schwarz preconditioner with its own Device-backend arena and
+/// communicator, so two identically set-up rigs can be compared after
+/// different application sequences.
+struct BlockRig {
+  std::unique_ptr<device::DeviceArena> arena;
+  std::unique_ptr<comm::SimComm> comm;
+  std::unique_ptr<dd::SchwarzPreconditioner<double>> prec;
+};
+
+BlockRig make_block_rig(const test::MeshProblem& p, dd::SchwarzConfig cfg,
+                        int ranks, int threads) {
+  BlockRig rig;
+  rig.arena = std::make_unique<device::DeviceArena>(ranks);
+  exec::ExecPolicy pol = exec::ExecPolicy::with_threads(threads);
+  pol.backend = exec::ExecBackend::Device;
+  pol.arena = rig.arena.get();
+  cfg.exec = cfg.subdomain.exec = cfg.extension.exec = cfg.coarse.exec = pol;
+  rig.comm = std::make_unique<comm::SimComm>(ranks, pol);
+  cfg.comm = rig.comm.get();
+  const auto decomp =
+      dd::build_decomposition(p.A, p.owner, p.num_parts, cfg.overlap);
+  rig.prec = std::make_unique<dd::SchwarzPreconditioner<double>>(cfg, decomp);
+  rig.prec->set_coarse_solver(
+      std::make_unique<mlevel::CoarseHierarchy<double>>(cfg, decomp.num_parts));
+  rig.prec->symbolic_setup(p.A);
+  rig.prec->numeric_setup(p.A, p.Z);
+  return rig;
+}
+
+/// apply_columns at width 5 (tiles 4 + 1) against five solo applies on an
+/// identically set-up twin, at ranks {1, 4} x threads {1, 4}: every column
+/// bitwise equal, and every profile, comm rank profile, coarse-level share
+/// and device ledger equal.
+void expect_block_apply_matches_solo(const test::MeshProblem& p,
+                                     const dd::SchwarzConfig& cfg,
+                                     size_t expected_levels) {
+  const size_t n = static_cast<size_t>(p.A.num_rows()), w = 5;
+  std::vector<std::vector<double>> X(w, std::vector<double>(n));
+  for (size_t c = 0; c < w; ++c)
+    for (size_t i = 0; i < n; ++i)
+      X[c][i] = std::sin(0.37 * double(i + 1) + 0.9 * double(c));
+  for (int ranks : {1, 4}) {
+    for (int threads : {1, 4}) {
+      const std::string label = "ranks=" + std::to_string(ranks) +
+                                " threads=" + std::to_string(threads);
+      BlockRig solo = make_block_rig(p, cfg, ranks, threads);
+      BlockRig block = make_block_rig(p, cfg, ranks, threads);
+      OpProfile solo_prof, block_prof;
+      std::vector<std::vector<double>> Ys(w, std::vector<double>(n)),
+          Yb(w, std::vector<double>(n));
+      for (size_t c = 0; c < w; ++c) solo.prec->apply(X[c], Ys[c], &solo_prof);
+      block.prec->apply_columns(X, Yb, &block_prof);
+      for (size_t c = 0; c < w; ++c)
+        EXPECT_EQ(
+            std::memcmp(Yb[c].data(), Ys[c].data(), n * sizeof(double)), 0)
+            << label << " column " << c;
+      test::expect_profiles_equal(block_prof, solo_prof, label);
+
+      const auto& sp = solo.prec->profiles();
+      const auto& bp = block.prec->profiles();
+      EXPECT_EQ(bp.apply_count, sp.apply_count) << label;
+      EXPECT_EQ(bp.coarse_comm_bytes, sp.coarse_comm_bytes) << label;
+      test::expect_profiles_equal(bp.coarse.solve, sp.coarse.solve, label);
+      ASSERT_EQ(bp.ranks.size(), sp.ranks.size());
+      for (size_t r = 0; r < sp.ranks.size(); ++r)
+        test::expect_profiles_equal(bp.ranks[r].solve, sp.ranks[r].solve,
+                                    label + " rank " + std::to_string(r));
+      ASSERT_EQ(sp.coarse_levels.size(), expected_levels) << label;
+      ASSERT_EQ(bp.coarse_levels.size(), sp.coarse_levels.size()) << label;
+      for (size_t l = 0; l < sp.coarse_levels.size(); ++l) {
+        const auto& bl = bp.coarse_levels[l];
+        const auto& sl = sp.coarse_levels[l];
+        ASSERT_EQ(bl.rank_solve.size(), sl.rank_solve.size()) << label;
+        for (size_t r = 0; r < sl.rank_solve.size(); ++r)
+          test::expect_profiles_equal(bl.rank_solve[r], sl.rank_solve[r],
+                                      label + " level " + std::to_string(l) +
+                                          " rank " + std::to_string(r));
+      }
+      for (int r = 0; r < ranks; ++r) {
+        const std::string rl = label + " rank " + std::to_string(r);
+        test::expect_profiles_equal(block.comm->rank_profiles()[r],
+                                    solo.comm->rank_profiles()[r], rl);
+        test::expect_ledgers_equal(block.arena->ledger(r),
+                                   solo.arena->ledger(r), rl);
+      }
+    }
+  }
+}
+
+TEST(BlockApply, GdswElasticityColumnsAndChargesMatchSoloApplies) {
+  dd::SchwarzConfig cfg;
+  cfg.coarse_space = dd::CoarseSpaceKind::GDSW;
+  expect_block_apply_matches_solo(test::elasticity_problem(6, 2, 2, 2), cfg, 1);
+}
+
+TEST(BlockApply, RgdswLaplaceColumnsAndChargesMatchSoloApplies) {
+  dd::SchwarzConfig cfg;
+  cfg.coarse_space = dd::CoarseSpaceKind::RGDSW;
+  expect_block_apply_matches_solo(test::laplace_problem(8, 2, 2, 2), cfg, 1);
+}
+
+TEST(BlockApply, ThreeLevelColumnsAndChargesMatchSoloApplies) {
+  // The recursive level's coarse correction is itself a block apply_columns
+  // of the inner Schwarz, over a subset communicator.
+  dd::SchwarzConfig cfg;
+  cfg.coarse_space = dd::CoarseSpaceKind::GDSW;
+  cfg.hierarchy.levels = 3;
+  cfg.hierarchy.coarse_ranks = dd::CoarseRanks::All;
+  expect_block_apply_matches_solo(test::laplace_problem(12, 4, 4, 2), cfg, 2);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,12 +3,18 @@
 // operation-profile contracts the perf model relies on.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <random>
+#include <string>
+#include <tuple>
+#include <type_traits>
 
 #include "direct/gp_lu.hpp"
 #include "direct/multifrontal.hpp"
 #include "graph/nested_dissection.hpp"
 #include "la/ops.hpp"
+#include "support/compare.hpp"
 #include "support/matrices.hpp"
 #include "trisolve/engines.hpp"
 
@@ -306,6 +312,91 @@ INSTANTIATE_TEST_SUITE_P(AllExactKindsThreaded, ParallelEngines,
                          ::testing::Values(TrisolveKind::LevelSet,
                                            TrisolveKind::SupernodalLevelSet,
                                            TrisolveKind::PartitionedInverse));
+
+// ---------------------------------------------------------------------------
+// Multi-column solves: solve_columns over a row-major interleaved block.
+
+/// Block widths covering every tile remainder of the 8/4/2/1 dispatch.
+constexpr index_t kWidths[] = {1, 2, 3, 4, 5, 8, 9, 17};
+
+/// Every column of solve_columns is bitwise equal to a solo solve of that
+/// column, and the block's profile equals the w solo charges.
+template <class Scalar>
+void expect_block_matches_solo(const TriangularEngine<Scalar>& engine,
+                               index_t n, const std::string& label) {
+  for (index_t w : kWidths) {
+    const size_t ws = static_cast<size_t>(w);
+    std::vector<Scalar> B(static_cast<size_t>(n) * ws);
+    for (size_t i = 0; i < static_cast<size_t>(n); ++i)
+      for (size_t c = 0; c < ws; ++c)
+        B[i * ws + c] =
+            Scalar(std::sin(0.37 * double(i + 1) + 1.3 * double(c)));
+    OpProfile block_prof, solo_prof;
+    std::vector<Scalar> X;
+    engine.solve_columns(B, X, w, &block_prof);
+    ASSERT_EQ(X.size(), B.size()) << label << " w=" << w;
+    for (size_t c = 0; c < ws; ++c) {
+      std::vector<Scalar> b(static_cast<size_t>(n)), x;
+      for (size_t i = 0; i < b.size(); ++i) b[i] = B[i * ws + c];
+      engine.solve(b, x, &solo_prof);
+      ASSERT_EQ(x.size(), b.size());
+      for (size_t i = 0; i < x.size(); ++i)
+        ASSERT_EQ(std::memcmp(&X[i * ws + c], &x[i], sizeof(Scalar)), 0)
+            << label << " w=" << w << " column " << c << " row " << i;
+    }
+    test::expect_profiles_equal(block_prof, solo_prof,
+                                label + " w=" + std::to_string(w));
+  }
+}
+
+/// Both factor shapes of the Table I matrix: pivoted LU (row permutation,
+/// unit-diagonal L) and ND-ordered Cholesky (nontrivial supernodes, and
+/// leaf levels wide enough that threads=4 really runs them in parallel).
+template <class Scalar>
+void check_block_solves(TrisolveKind kind, int threads) {
+  TrisolveOptions opts;
+  opts.exec = exec::ExecPolicy::with_threads(threads);
+  const std::string label =
+      std::string(to_string(kind)) + " threads=" + std::to_string(threads) +
+      (std::is_same_v<Scalar, float> ? " float" : " double");
+
+  auto Ad = laplace2d(9, 7);
+  std::mt19937 rng(23);
+  std::uniform_real_distribution<double> u(0.0, 0.2);
+  for (auto& v : Ad.values()) v += u(rng);
+  const auto A = Ad.template convert<Scalar>();
+  direct::GilbertPeierlsLu<Scalar> lu;
+  lu.symbolic(A);
+  lu.numeric(A);
+  auto lu_engine = make_trisolve<Scalar>(kind, opts);
+  lu_engine->setup(lu.factorization(), nullptr);
+  expect_block_matches_solo(*lu_engine, A.num_rows(), label + " lu");
+
+  auto Sd = laplace2d(40, 40);
+  Sd = la::permute_symmetric(
+      Sd, graph::nested_dissection(graph::build_graph(Sd)));
+  const auto S = Sd.template convert<Scalar>();
+  direct::MultifrontalCholesky<Scalar> chol;
+  chol.symbolic(S);
+  chol.numeric(S);
+  auto chol_engine = make_trisolve<Scalar>(kind, opts);
+  chol_engine->setup(chol.factorization(), nullptr);
+  expect_block_matches_solo(*chol_engine, S.num_rows(), label + " cholesky");
+}
+
+class BlockSolves
+    : public ::testing::TestWithParam<std::tuple<TrisolveKind, int>> {};
+
+TEST_P(BlockSolves, ColumnsBitwiseEqualSoloSolvesWithSoloProfiles) {
+  const auto [kind, threads] = GetParam();
+  check_block_solves<double>(kind, threads);
+  check_block_solves<float>(kind, threads);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKindsAndThreads, BlockSolves,
+    ::testing::Combine(::testing::ValuesIn(EnumTraits<TrisolveKind>::all),
+                       ::testing::Values(1, 4)));
 
 }  // namespace
 }  // namespace frosch::trisolve
